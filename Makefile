@@ -33,9 +33,11 @@ staticcheck:
 	fi
 
 # Race-detector pass over the packages with concurrent machinery
-# (scheduler, column-parallel merge, HTAP stress tests).
+# (scheduler, column-parallel merge, HTAP stress tests, the calc
+# executor's Combine branches and shared registry graphs, the
+# morsel-parallel batch operators).
 race:
-	$(GO) test -race ./internal/core/... ./internal/merge/...
+	$(GO) test -race ./internal/core/... ./internal/merge/... ./internal/calc/... ./internal/engine/...
 
 race-all:
 	$(GO) test -race ./...

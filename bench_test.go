@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	hana "repro"
-	"repro/internal/engine"
 	"repro/internal/workload"
 )
 
@@ -676,33 +675,24 @@ func BenchmarkE12_UniqueCheckedInsert(b *testing.B) {
 
 // --- E13: vectorized batch read path (§3.1) ---
 
-func benchScanAggregate(b *testing.B, batch bool, size int) {
+func benchScanAggregate(b *testing.B, size int) {
 	f := mainFixture(b)
 	groupBy := []int{3}
 	aggs := []hana.Agg{{Func: hana.Count}, {Func: hana.Sum, Col: 5}, {Func: hana.Sum, Col: 6}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if batch {
-			_, err = hana.CollectBatches(&hana.BatchHashAggregate{
-				In: &hana.BatchTableScan{Table: f.tab, BatchSize: size}, GroupBy: groupBy, Aggs: aggs,
-			})
-		} else {
-			// The retained row-at-a-time reference pipeline.
-			_, err = engine.Collect(&engine.HashAggregate{
-				In: &engine.TableScan{Table: f.tab}, GroupBy: groupBy, Aggs: aggs,
-			})
-		}
+		_, err := hana.CollectBatches(&hana.BatchHashAggregate{
+			In: &hana.BatchTableScan{Table: f.tab, BatchSize: size}, GroupBy: groupBy, Aggs: aggs,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkE13_ScanAggregate_Rows(b *testing.B)       { benchScanAggregate(b, false, 0) }
-func BenchmarkE13_ScanAggregate_Batch(b *testing.B)      { benchScanAggregate(b, true, 0) }
-func BenchmarkE13_ScanAggregate_Batch64(b *testing.B)    { benchScanAggregate(b, true, 64) }
-func BenchmarkE13_ScanAggregate_Batch16384(b *testing.B) { benchScanAggregate(b, true, 16384) }
+func BenchmarkE13_ScanAggregate_Batch(b *testing.B)      { benchScanAggregate(b, 0) }
+func BenchmarkE13_ScanAggregate_Batch64(b *testing.B)    { benchScanAggregate(b, 64) }
+func BenchmarkE13_ScanAggregate_Batch16384(b *testing.B) { benchScanAggregate(b, 16384) }
 
 func BenchmarkE13_LimitPushdown(b *testing.B) {
 	f := mainFixture(b)

@@ -162,10 +162,6 @@ type (
 	BatchHashJoin = engine.BatchHashJoin
 	// BatchHashAggregate groups and aggregates batch streams.
 	BatchHashAggregate = engine.BatchHashAggregate
-	// BatchToRows adapts batches to the row-at-a-time Iterator.
-	BatchToRows = engine.BatchToRows
-	// RowsToBatches adapts a row iterator to batches.
-	RowsToBatches = engine.RowsToBatches
 )
 
 // Observability: pass a registry in Options.Obs and the engine

@@ -16,14 +16,15 @@
 //   - registered named graphs consumable as virtual tables from other
 //     graphs (the "calc views" of the HANA content repository).
 //
-// Compile validates and optimizes the graph (rule-based filter
-// pushdown and fusion, §2.2); Execute runs it with memoized shared
-// subexpressions.
+// A graph is validated and optimized once (rule-based filter pushdown
+// and fusion, §2.2); Execute lowers it to one tree of engine batch
+// operators with memoized shared subexpressions and drains it.
 package calc
 
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -108,8 +109,9 @@ type Node struct {
 	partIdx     int
 }
 
+// starDim is one dimension arm; its input is the star-join node's
+// inputs[1+i].
 type starDim struct {
-	node    *Node
 	keyCol  int
 	factCol int
 	payload []int
@@ -118,11 +120,18 @@ type starDim struct {
 // Kind returns the node's operator kind.
 func (n *Node) Kind() Kind { return n.kind }
 
-// Graph is a calc model under construction.
+// Graph is a calc model: built single-threaded through the builder
+// methods, then compiled exactly once — by the first Execute or by
+// Registry.Register — after which its nodes are never written again,
+// so any number of sessions may execute it concurrently.
 type Graph struct {
 	nodes  []*Node
 	views  map[string]*Node
 	nextID int
+
+	compileOnce  sync.Once
+	compileErr   error
+	optimizeOnce sync.Once
 }
 
 // NewGraph returns an empty calc graph.
@@ -213,7 +222,7 @@ func (g *Graph) StarJoin(fact *Node, dims ...StarDim) *Node {
 	n := &Node{kind: KindStarJoin, inputs: []*Node{fact}}
 	for _, d := range dims {
 		n.inputs = append(n.inputs, d.In)
-		n.dims = append(n.dims, starDim{node: d.In, keyCol: d.KeyCol, factCol: d.FactCol, payload: d.Payload})
+		n.dims = append(n.dims, starDim{keyCol: d.KeyCol, factCol: d.FactCol, payload: d.Payload})
 	}
 	return g.add(n)
 }
@@ -279,6 +288,17 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
+// compile validates and optimizes the graph on first call; later
+// calls return the first outcome without touching the nodes.
+func (g *Graph) compile() error {
+	g.compileOnce.Do(func() {
+		if g.compileErr = g.Validate(); g.compileErr == nil {
+			g.Optimize()
+		}
+	})
+	return g.compileErr
+}
+
 // consumers counts how many nodes consume each node.
 func (g *Graph) consumers() map[*Node]int {
 	c := map[*Node]int{}
@@ -319,8 +339,13 @@ func consumersFrom(root *Node) map[*Node]int {
 // projection pushdown (aggregates and projections over an exclusive
 // table scan decode only the columns they need — late
 // materialization). Shared nodes (multiple consumers) are never
-// rewritten away, preserving common-subexpression reuse.
-func (g *Graph) Optimize() {
+// rewritten away, preserving common-subexpression reuse. The rewrites
+// are not idempotent (a second pass would push the neutralized
+// filter's Const(true) again), so only the first call on a graph does
+// anything.
+func (g *Graph) Optimize() { g.optimizeOnce.Do(g.optimize) }
+
+func (g *Graph) optimize() {
 	cons := g.consumers()
 	for _, n := range g.nodes {
 		if n.kind != KindFilter {

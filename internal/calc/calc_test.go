@@ -16,6 +16,13 @@ import (
 
 func salesTable(t *testing.T) (*core.Database, *core.Table) {
 	t.Helper()
+	return salesTableBatched(t, 0)
+}
+
+// salesTableBatched is salesTable with an explicit scan batch size, so
+// a 100-row table can span many batches.
+func salesTableBatched(t *testing.T, batchSize int) (*core.Database, *core.Table) {
+	t.Helper()
 	db, err := core.OpenDatabase(core.DBOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +35,7 @@ func salesTable(t *testing.T) (*core.Database, *core.Table) {
 			{Name: "region", Kind: types.KindString},
 			{Name: "amount", Kind: types.KindInt64},
 		}, 0),
-		Compress: true, CompactDicts: true,
+		Compress: true, CompactDicts: true, BatchSize: batchSize,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/engine"
+	"repro/internal/expr"
 	"repro/internal/mvcc"
 	"repro/internal/types"
 )
@@ -29,9 +31,11 @@ func NewRegistry() *Registry {
 	return &Registry{views: map[string]registered{}}
 }
 
-// Register stores a compiled graph under a name.
+// Register compiles the graph (validate + optimize, once) and stores
+// it under a name. Registered graphs are immutable from here on:
+// every session reading the view plans from the same nodes.
 func (r *Registry) Register(name string, g *Graph, root *Node) error {
-	if err := g.Validate(); err != nil {
+	if err := g.compile(); err != nil {
 		return err
 	}
 	r.mu.Lock()
@@ -63,263 +67,273 @@ type Env struct {
 	Stats *QueryStats
 }
 
-// Execute compiles (validates + optimizes) and runs the graph,
-// returning the materialized result of root. Shared subexpressions
-// are evaluated once; Combine branches run on parallel goroutines.
+// Execute compiles the graph — validate + optimize, once per Graph —
+// into one pulled batch-operator tree and drains it at the root: the
+// only place batches become rows besides Values and Script nodes.
+// Nodes with several consumers are drained once and replayed to each;
+// Combine branches drain on parallel goroutines.
 func Execute(g *Graph, root *Node, env Env) ([][]types.Value, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	g.Optimize()
-	ex := &executor{env: env, memo: map[*Node]*memoEntry{}, cons: consumersFrom(root)}
-	return ex.eval(root)
+	return execute(g, root, env, nil)
 }
 
-type memoEntry struct {
+// opWrap, when non-nil, intercepts every operator the planner creates
+// — the seam tests use to observe the tree's Open/Close discipline.
+type opWrap func(*Node, engine.BatchIterator) engine.BatchIterator
+
+func execute(g *Graph, root *Node, env Env, wrap opWrap) ([][]types.Value, error) {
+	if err := g.compile(); err != nil {
+		return nil, err
+	}
+	it, err := newPlanner(env, root, wrap).build(root)
+	if err != nil {
+		return nil, err
+	}
+	return engine.CollectBatches(it)
+}
+
+// planner lowers calc nodes onto engine operators. Building is
+// single-threaded and touches no data; all execution happens when the
+// finished tree is opened and pulled.
+type planner struct {
+	env    Env
+	cons   map[*Node]int
+	shared map[*Node]*memo
+	wrap   opWrap
+}
+
+func newPlanner(env Env, root *Node, wrap opWrap) *planner {
+	return &planner{env: env, cons: consumersFrom(root), shared: map[*Node]*memo{}, wrap: wrap}
+}
+
+// memo is a multi-consumer node's operator, drained at most once;
+// concurrent consumers (Combine branches) wait on the same drain.
+type memo struct {
+	in   engine.BatchIterator
 	once sync.Once
 	rows [][]types.Value
 	err  error
 }
 
-type executor struct {
-	env  Env
-	mu   sync.Mutex
-	memo map[*Node]*memoEntry
-	cons map[*Node]int
+func (m *memo) load() ([][]types.Value, error) {
+	m.once.Do(func() { m.rows, m.err = engine.CollectBatches(m.in) })
+	return m.rows, m.err
+}
+
+// materialized is the tree's row-shaped operator: Open runs load —
+// a script over its drained input, a shared node's memoized drain, a
+// Combine's parallel branches — and the result replays as batches.
+// It observes the statement context before loading: scans below it
+// check per batch, pure row logic would otherwise never look.
+type materialized struct {
+	ctx  context.Context
+	load func() ([][]types.Value, error)
+	engine.BatchValues
+}
+
+// Open implements engine.BatchIterator.
+func (m *materialized) Open() error {
+	if m.Stats != nil {
+		t0 := time.Now()
+		defer func() { m.Stats.AddWall(time.Since(t0)) }()
+	}
+	if m.ctx != nil {
+		if err := m.ctx.Err(); err != nil {
+			return err
+		}
+	}
+	rows, err := m.load()
+	if err != nil {
+		return err
+	}
+	m.Rows = rows
+	return m.BatchValues.Open()
 }
 
 // st resolves the node's stats slot — nil when collection is off,
 // which every engine.OpStats method tolerates.
-func (ex *executor) st(n *Node) *engine.OpStats {
-	return ex.env.Stats.Op(n)
+func (p *planner) st(n *Node) *engine.OpStats {
+	return p.env.Stats.Op(n)
 }
 
-func (ex *executor) entry(n *Node) *memoEntry {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	e, ok := ex.memo[n]
-	if !ok {
-		e = &memoEntry{}
-		ex.memo[n] = e
+// build returns the operator feeding one consumer of n. A node with a
+// single consumer is its operator; a shared node is planned once and
+// every consumer gets a replay of its memoized drain.
+func (p *planner) build(n *Node) (engine.BatchIterator, error) {
+	if p.cons[n] <= 1 {
+		return p.operator(n)
 	}
-	return e
-}
-
-// eval evaluates a node with memoization (safe under the concurrent
-// evaluation that Combine triggers).
-func (ex *executor) eval(n *Node) ([][]types.Value, error) {
-	e := ex.entry(n)
-	e.once.Do(func() {
-		st := ex.st(n)
-		var t0 time.Time
-		if st != nil {
-			t0 = time.Now()
-		}
-		e.rows, e.err = ex.compute(n)
-		if st != nil {
-			// Node-inclusive totals overwrite whatever the fused
-			// operator accumulated piecemeal; scan-shaped fields set by
-			// SetScan below these two survive.
-			st.SetWall(time.Since(t0))
-			st.SetRows(len(e.rows))
-		}
-	})
-	return e.rows, e.err
-}
-
-func (ex *executor) compute(n *Node) ([][]types.Value, error) {
-	if ex.env.Ctx != nil {
-		// Coarse-grained cancellation between operators; the fused
-		// table operators below observe the same context at batch or
-		// row-stride granularity while they run.
-		if err := ex.env.Ctx.Err(); err != nil {
+	m, ok := p.shared[n]
+	if !ok {
+		in, err := p.operator(n)
+		if err != nil {
 			return nil, err
 		}
+		m = &memo{in: in}
+		p.shared[n] = m
+	}
+	return p.rows(nil, m.load), nil
+}
+
+func (p *planner) buildAll(nodes []*Node) ([]engine.BatchIterator, error) {
+	out := make([]engine.BatchIterator, len(nodes))
+	for i, n := range nodes {
+		it, err := p.build(n)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = it
+	}
+	return out, nil
+}
+
+// operator maps one node (inputs first) to its engine operator.
+func (p *planner) operator(n *Node) (engine.BatchIterator, error) {
+	it, err := p.lower(n)
+	if err == nil && p.wrap != nil {
+		it = p.wrap(n, it)
+	}
+	return it, err
+}
+
+func (p *planner) lower(n *Node) (engine.BatchIterator, error) {
+	st := p.st(n)
+	ctx := p.env.Ctx
+	// Aggregate over an exclusively-owned single-worker table scan
+	// fuses into one scan-aggregate with no scan operator at all (with
+	// more scan workers BatchHashAggregate drains the scan
+	// morsel-parallel itself, below).
+	if n.kind == KindAggregate {
+		if child := n.inputs[0]; child.kind == KindTable && child.tableCols == nil && p.cons[child] <= 1 && child.table.ScanWorkers() <= 1 {
+			return &engine.TableAggregate{
+				Table: child.table, Txn: p.env.Txn, AsOf: child.asOf,
+				Pred: child.pred, GroupBy: n.groupBy, Aggs: n.aggs,
+				Ctx: ctx, Stats: st, ScanStats: p.st(child),
+			}, nil
+		}
+	}
+
+	ins, err := p.buildAll(n.inputs)
+	if err != nil {
+		return nil, err
 	}
 	switch n.kind {
 	case KindTable:
-		// The vectorized scan streams column batches with code-level
-		// predicate pushdown instead of materializing inside the view
-		// latch.
-		scan := &engine.BatchTableScan{Table: n.table, Txn: ex.env.Txn, Pred: n.pred, Cols: n.tableCols, AsOf: n.asOf, Ctx: ex.env.Ctx, Stats: ex.st(n)}
-		return engine.CollectBatches(scan)
+		// The streaming scan: code-level predicate pushdown, the view
+		// pinned only while the tree is open, cancellation per batch.
+		return &engine.BatchTableScan{Table: n.table, Txn: p.env.Txn, Pred: n.pred, Cols: n.tableCols, AsOf: n.asOf, Ctx: ctx, Stats: st}, nil
 	case KindValues:
-		return n.rows, nil
+		return &engine.BatchValues{Rows: n.rows, Stats: st}, nil
 	case KindView:
-		if ex.env.Registry == nil {
+		if p.env.Registry == nil {
 			return nil, fmt.Errorf("calc: view %q without registry", n.viewName)
 		}
-		v, ok := ex.env.Registry.lookup(n.viewName)
+		v, ok := p.env.Registry.lookup(n.viewName)
 		if !ok {
 			return nil, fmt.Errorf("calc: unknown view %q", n.viewName)
 		}
-		// Views execute in their own graph with the same environment.
-		return Execute(v.graph, v.root, ex.env)
+		// The view's graph plans into this tree with the same
+		// environment; the predicate-less filter is a pass-through that
+		// gives the view node its own actuals.
+		in, err := newPlanner(p.env, v.root, p.wrap).build(v.root)
+		if err != nil {
+			return nil, err
+		}
+		return &engine.BatchFilter{In: in, Stats: st}, nil
 	case KindFilter:
-		in, err := ex.eval(n.inputs[0])
-		if err != nil {
-			return nil, err
+		pred := n.pred
+		if c, ok := pred.(expr.Const); ok && bool(c) {
+			pred = nil // neutralized by pushdown: pass batches through untouched
 		}
-		return engine.Collect(&engine.Filter{In: engine.NewSliceSource(in), Pred: n.pred})
+		return &engine.BatchFilter{In: ins[0], Pred: pred, Stats: st}, nil
 	case KindProject:
-		in, err := ex.eval(n.inputs[0])
-		if err != nil {
-			return nil, err
-		}
-		return engine.Collect(&engine.Project{In: engine.NewSliceSource(in), Cols: n.cols})
+		return &engine.BatchProject{In: ins[0], Cols: n.cols, Stats: st}, nil
 	case KindJoin:
-		// When both sides are exclusively-owned table scans, join the
-		// batch streams directly: the probe side never materializes.
-		l, r := n.inputs[0], n.inputs[1]
-		if l.kind == KindTable && r.kind == KindTable && ex.cons[l] <= 1 && ex.cons[r] <= 1 {
-			return engine.CollectBatches(&engine.BatchHashJoin{
-				Left:    &engine.BatchTableScan{Table: l.table, Txn: ex.env.Txn, Pred: l.pred, Cols: l.tableCols, AsOf: l.asOf, Ctx: ex.env.Ctx, Stats: ex.st(l)},
-				Right:   &engine.BatchTableScan{Table: r.table, Txn: ex.env.Txn, Pred: r.pred, Cols: r.tableCols, AsOf: r.asOf, Ctx: ex.env.Ctx, Stats: ex.st(r)},
-				LeftCol: n.leftCol, RightCol: n.rightCol,
-				Stats:   ex.st(n),
-			})
-		}
-		left, err := ex.eval(n.inputs[0])
-		if err != nil {
-			return nil, err
-		}
-		right, err := ex.eval(n.inputs[1])
-		if err != nil {
-			return nil, err
-		}
-		return engine.Collect(&engine.HashJoin{
-			Left: engine.NewSliceSource(left), Right: engine.NewSliceSource(right),
-			LeftCol: n.leftCol, RightCol: n.rightCol,
-		})
+		return &engine.BatchHashJoin{
+			Left: ins[0], Right: ins[1], LeftCol: n.leftCol, RightCol: n.rightCol,
+			Budget: budget.FromContext(ctx), Stats: st,
+		}, nil
 	case KindAggregate:
-		// Fuse Aggregate(table) into a single scan-aggregate when the
-		// scan has no other consumer (otherwise CSE keeps the shared
-		// materialized scan).
-		if child := n.inputs[0]; child.kind == KindTable && child.tableCols == nil && ex.cons[child] <= 1 {
-			if child.table.ScanWorkers() > 1 {
-				// Morsel-parallel drain: the batch aggregate scatters the
-				// scan over the worker pool and merges per-worker partials
-				// in first-seen order.
-				return engine.CollectBatches(&engine.BatchHashAggregate{
-					In: &engine.BatchTableScan{
-						Table: child.table, Txn: ex.env.Txn, Pred: child.pred,
-						AsOf: child.asOf, Ctx: ex.env.Ctx, Stats: ex.st(child),
-					},
-					GroupBy: n.groupBy, Aggs: n.aggs, Stats: ex.st(n),
-				})
-			}
-			return engine.Collect(&engine.TableAggregate{
-				Table: child.table, Txn: ex.env.Txn, AsOf: child.asOf,
-				Pred: child.pred, GroupBy: n.groupBy, Aggs: n.aggs,
-				Ctx: ex.env.Ctx, Stats: ex.st(n), ScanStats: ex.st(child),
-			})
-		}
-		in, err := ex.eval(n.inputs[0])
-		if err != nil {
-			return nil, err
-		}
-		return engine.Collect(&engine.HashAggregate{
-			In: engine.NewSliceSource(in), GroupBy: n.groupBy, Aggs: n.aggs,
-		})
+		return &engine.BatchHashAggregate{
+			In: ins[0], GroupBy: n.groupBy, Aggs: n.aggs,
+			Budget: budget.FromContext(ctx), Stats: st,
+		}, nil
 	case KindUnion:
-		var ins []engine.Iterator
-		for _, c := range n.inputs {
-			rows, err := ex.eval(c)
-			if err != nil {
-				return nil, err
-			}
-			ins = append(ins, engine.NewSliceSource(rows))
-		}
-		return engine.Collect(&engine.Union{Ins: ins})
+		return &engine.BatchUnion{Ins: ins, Stats: st}, nil
 	case KindSort:
-		in, err := ex.eval(n.inputs[0])
-		if err != nil {
-			return nil, err
-		}
-		return engine.Collect(&engine.Sort{In: engine.NewSliceSource(in), Keys: n.sortKeys})
+		return &engine.BatchSort{In: ins[0], Keys: n.sortKeys, Stats: st}, nil
 	case KindLimit:
-		// Limit over an exclusively-owned table scan stops pulling
-		// batches once satisfied — the scan never decodes the rest of
-		// the table (limit pushdown).
-		if child := n.inputs[0]; child.kind == KindTable && ex.cons[child] <= 1 {
-			return engine.CollectBatches(&engine.BatchLimit{
-				N: n.limit, Stats: ex.st(n),
-				In: &engine.BatchTableScan{
-					Table: child.table, Txn: ex.env.Txn, Pred: child.pred,
-					Cols: child.tableCols, AsOf: child.asOf, Ctx: ex.env.Ctx,
-					Stats: ex.st(child),
-				},
-			})
-		}
-		in, err := ex.eval(n.inputs[0])
-		if err != nil {
-			return nil, err
-		}
-		return engine.Collect(&engine.Limit{In: engine.NewSliceSource(in), N: n.limit})
-	case KindScript:
-		in, err := ex.eval(n.inputs[0])
-		if err != nil {
-			return nil, err
-		}
-		return n.script(in)
+		// Over a streaming input the limit stops pulling once satisfied
+		// — the scan below never decodes the rest of the table.
+		return &engine.BatchLimit{In: ins[0], N: n.limit, Stats: st}, nil
 	case KindStarJoin:
-		fact, err := ex.eval(n.inputs[0])
-		if err != nil {
-			return nil, err
+		// inputs are the fact followed by the dimensions, in dims order.
+		dims := make([]engine.StarDim, len(n.dims))
+		for i, d := range n.dims {
+			dims[i] = engine.StarDim{In: ins[1+i], KeyCol: d.keyCol, FactCol: d.factCol, Payload: d.payload}
 		}
-		var dims []engine.Dimension
-		for _, d := range n.dims {
-			rows, err := ex.eval(d.node)
+		return &engine.BatchStarJoin{Fact: ins[0], Dims: dims, Stats: st}, nil
+	case KindSplit:
+		return &engine.BatchFilter{In: ins[0], Pred: &splitPred{parts: n.parts, col: n.partCol, idx: n.partIdx}, Stats: st}, nil
+	case KindScript:
+		// Imperative logic sees its whole input at once (§2.1).
+		return p.rows(st, func() ([][]types.Value, error) {
+			rows, err := engine.CollectBatches(ins[0])
 			if err != nil {
 				return nil, err
 			}
-			dims = append(dims, engine.Dimension{
-				In: engine.NewSliceSource(rows), KeyCol: d.keyCol,
-				FactCol: d.factCol, Payload: d.payload,
-			})
-		}
-		return engine.Collect(&engine.StarJoin{Fact: engine.NewSliceSource(fact), Dims: dims})
-	case KindSplit:
-		in, err := ex.eval(n.inputs[0])
-		if err != nil {
-			return nil, err
-		}
-		var out [][]types.Value
-		for i, row := range in {
-			var part int
-			if n.partCol >= 0 && n.partCol < len(row) {
-				part = int(types.Hash(row[n.partCol]) % uint64(n.parts))
-			} else {
-				part = i % n.parts // round-robin
-			}
-			if part == n.partIdx {
-				out = append(out, row)
-			}
-		}
-		return out, nil
+			return n.script(rows)
+		}), nil
 	case KindCombine:
-		// Application-defined data parallelism: branches execute
-		// concurrently (§2.1).
-		results := make([][][]types.Value, len(n.inputs))
-		errs := make([]error, len(n.inputs))
-		var wg sync.WaitGroup
-		for i, c := range n.inputs {
-			wg.Add(1)
-			go func(i int, c *Node) {
-				defer wg.Done()
-				results[i], errs[i] = ex.eval(c)
-			}(i, c)
-		}
-		wg.Wait()
-		var out [][]types.Value
-		for i := range results {
-			if errs[i] != nil {
-				return nil, errs[i]
+		// Application-defined data parallelism: branches drain
+		// concurrently (§2.1), results concatenate in branch order.
+		return p.rows(st, func() ([][]types.Value, error) {
+			results := make([][][]types.Value, len(ins))
+			errs := make([]error, len(ins))
+			var wg sync.WaitGroup
+			for i, in := range ins {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					results[i], errs[i] = engine.CollectBatches(in)
+				}()
 			}
-			out = append(out, results[i]...)
-		}
-		return out, nil
+			wg.Wait()
+			var out [][]types.Value
+			for i := range results {
+				if errs[i] != nil {
+					return nil, errs[i]
+				}
+				out = append(out, results[i]...)
+			}
+			return out, nil
+		}), nil
 	default:
 		return nil, fmt.Errorf("calc: cannot execute node kind %v", n.kind)
 	}
 }
+
+// rows plants a loader in the tree as the node's materialized operator.
+func (p *planner) rows(st *engine.OpStats, load func() ([][]types.Value, error)) engine.BatchIterator {
+	return &materialized{ctx: p.env.Ctx, load: load, BatchValues: engine.BatchValues{Stats: st}}
+}
+
+// splitPred keeps one partition of a Split: rows whose partCol hashes
+// to idx modulo parts, or — with partCol out of range — every parts-th
+// row in arrival order (round-robin). Stateful, so one instance serves
+// one operator.
+type splitPred struct {
+	parts, col, idx int
+	seen            int
+}
+
+// Eval implements expr.Predicate.
+func (s *splitPred) Eval(row []types.Value) bool {
+	i := s.seen
+	s.seen++
+	if s.col >= 0 && s.col < len(row) {
+		return int(types.Hash(row[s.col])%uint64(s.parts)) == s.idx
+	}
+	return i%s.parts == s.idx
+}
+
+func (s *splitPred) String() string { return fmt.Sprintf("split[%d/%d]", s.idx, s.parts) }

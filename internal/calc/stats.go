@@ -13,9 +13,10 @@ import (
 // nil and every engine.OpStats method is nil-safe, so the executor
 // threads it unconditionally without branching on the hot path.
 //
-// The map is guarded by a mutex because Combine branches (and view
-// sub-executions) evaluate nodes concurrently; each node's *OpStats
-// is created once and then updated lock-free via its atomics.
+// Slots are created while the tree is planned; the mutex keeps Op safe
+// from any goroutine all the same. Each node's *OpStats is then
+// updated lock-free via its atomics by whichever goroutine drives the
+// operator (Combine branches drain concurrently).
 type QueryStats struct {
 	mu  sync.Mutex
 	ops map[*Node]*engine.OpStats

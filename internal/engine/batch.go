@@ -1,3 +1,11 @@
+// Package engine implements the physical operators of the "Engine
+// Layer" (paper §2.2): scan, filter, project, limit, hash join,
+// aggregation, sort, union and the OLAP star join, all speaking one
+// vectorized Open-Next-Close protocol [3] over column batches. Table
+// scans stream with the statement view pinned (the pipelined access
+// mode of §3.1); rows exist only where BatchValues feeds materialized
+// data into a tree and where CollectBatches drains one at the result
+// edge.
 package engine
 
 import (
@@ -30,9 +38,12 @@ type BatchIterator interface {
 	Close() error
 }
 
+// ErrNotOpen reports Next on an unopened operator.
+var ErrNotOpen = errors.New("engine: iterator not open")
+
 // BatchTableScan streams a unified table as column batches with
-// predicate pushdown onto dictionary codes — the vectorized
-// replacement for TableScan. Unlike TableScan it does NOT
+// predicate pushdown onto dictionary codes (§4.1's operators
+// "directly leverage existing dictionaries"). It does not
 // materialize: the statement view stays pinned from Open to Close
 // (the paper's pipelined access mode, §3.1), so the scan is O(batch)
 // in memory regardless of result size, and limit pushdown stops the
@@ -251,6 +262,10 @@ func (p *BatchProject) Open() error {
 
 // Next implements BatchIterator.
 func (p *BatchProject) Next() (*vec.Batch, error) {
+	if p.Stats != nil {
+		t0 := time.Now()
+		defer func() { p.Stats.AddWall(time.Since(t0)) }()
+	}
 	b, err := p.In.Next()
 	if err != nil || b == nil {
 		return nil, err
@@ -296,6 +311,10 @@ func (l *BatchLimit) Open() error {
 
 // Next implements BatchIterator.
 func (l *BatchLimit) Next() (*vec.Batch, error) {
+	if l.Stats != nil {
+		t0 := time.Now()
+		defer func() { l.Stats.AddWall(time.Since(t0)) }()
+	}
 	if l.n >= l.N {
 		return nil, nil
 	}
@@ -840,128 +859,14 @@ func (a *BatchHashAggregate) Close() error {
 	return a.closeIn()
 }
 
-// BatchToRows adapts a batch stream to the row-at-a-time Iterator
-// protocol — the compatibility bridge that lets existing ONC
-// operators consume the vectorized scan.
-type BatchToRows struct {
-	In BatchIterator
-
-	b    *vec.Batch
-	pos  int
-	buf  []types.Value
-	open bool
-}
-
-// Open implements Iterator.
-func (r *BatchToRows) Open() error {
-	r.b, r.pos = nil, 0
-	if err := r.In.Open(); err != nil {
-		return err
-	}
-	r.open = true
-	return nil
-}
-
-// Next implements Iterator.
-func (r *BatchToRows) Next() ([]types.Value, bool, error) {
-	for {
-		if r.b != nil && r.pos < r.b.Rows() {
-			r.buf = r.b.RowAt(r.pos, r.buf)
-			r.pos++
-			return r.buf, true, nil
-		}
-		b, err := r.In.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if b == nil {
-			return nil, false, nil
-		}
-		r.b, r.pos = b, 0
-	}
-}
-
-// Close implements Iterator. Idempotent.
-func (r *BatchToRows) Close() error {
-	if !r.open {
-		return nil
-	}
-	r.open = false
-	return r.In.Close()
-}
-
-// RowsToBatches adapts a row iterator to the batch protocol,
-// accumulating BatchSize rows per batch (vec.DefaultBatchSize when
-// unset). Kinds are adopted from the first appended values.
-type RowsToBatches struct {
-	In        Iterator
-	BatchSize int
-
-	out  *vec.Batch
-	eos  bool
-	open bool
-}
-
-// Open implements BatchIterator.
-func (r *RowsToBatches) Open() error {
-	r.out, r.eos = nil, false
-	if err := r.In.Open(); err != nil {
-		return err
-	}
-	r.open = true
-	return nil
-}
-
-// Next implements BatchIterator.
-func (r *RowsToBatches) Next() (*vec.Batch, error) {
-	if r.eos {
-		return nil, nil
-	}
-	size := r.BatchSize
-	if size <= 0 {
-		size = vec.DefaultBatchSize
-	}
-	if r.out != nil {
-		r.out.Reset()
-	}
-	n := 0
-	for n < size {
-		row, ok, err := r.In.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			r.eos = true
-			break
-		}
-		if r.out == nil {
-			r.out = vec.New(make([]types.Kind, len(row)))
-		}
-		r.out.AppendRow(row)
-		n++
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	return r.out, nil
-}
-
-// Close implements BatchIterator. Idempotent.
-func (r *RowsToBatches) Close() error {
-	if !r.open {
-		return nil
-	}
-	r.open = false
-	return r.In.Close()
-}
-
 // CollectBatches drains a batch iterator into materialized rows,
-// handling Open/Close.
+// handling Open/Close (Close runs after a failed Open too, which
+// every operator tolerates).
 func CollectBatches(it BatchIterator) ([][]types.Value, error) {
+	defer it.Close()
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
-	defer it.Close()
 	var out [][]types.Value
 	for {
 		b, err := it.Next()

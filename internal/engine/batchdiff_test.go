@@ -16,11 +16,11 @@ import (
 )
 
 // TestBatchRowDifferential runs seeded randomized queries — filters,
-// projections, joins, aggregates, AsOf reads — through both the
-// vectorized batch pipeline and the retained row-at-a-time reference,
-// asserting multiset-identical results (same spirit as the torture
-// package's oracle harness). Reproduce a failure with
-// BATCHDIFF_SEED=<seed> go test ./internal/engine -run Differential.
+// projections, joins, aggregates, AsOf reads — through the batch
+// operators and through a reference written right here as plain Go
+// loops over View.ScanAll, asserting multiset-identical results (same
+// spirit as the torture package's oracle harness). Reproduce a failure
+// with BATCHDIFF_SEED=<seed> go test ./internal/engine -run Differential.
 func TestBatchRowDifferential(t *testing.T) {
 	seed := int64(1)
 	if s := os.Getenv("BATCHDIFF_SEED"); s != "" {
@@ -150,11 +150,18 @@ func TestBatchRowDifferential(t *testing.T) {
 		}
 	}
 
+	// Floats render to 10 significant digits: the reference and the
+	// scan visit rows in different orders, so float sums may differ in
+	// the last ulps.
 	render := func(rs [][]types.Value) []string {
 		out := make([]string, len(rs))
 		for i, r := range rs {
 			s := ""
 			for _, v := range r {
+				if v.Kind == types.KindFloat64 && !v.IsNull() {
+					s += strconv.FormatFloat(v.F, 'g', 10, 64) + "|"
+					continue
+				}
 				s += v.String() + "|"
 			}
 			out[i] = s
@@ -162,12 +169,25 @@ func TestBatchRowDifferential(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
-	check := func(q int, desc string, rowIt Iterator, batchIt BatchIterator) {
-		t.Helper()
-		want, err := Collect(rowIt)
-		if err != nil {
-			t.Fatalf("seed %d query %d (%s): row pipeline: %v", seed, q, desc, err)
+	// scan is the reference read path: every visible row of the
+	// (possibly time-travelling) view that satisfies pred.
+	scan := func(asOf uint64, pred expr.Predicate) [][]types.Value {
+		v := tab.View(nil)
+		if asOf != 0 {
+			v = tab.AsOf(asOf)
 		}
+		defer v.Close()
+		var out [][]types.Value
+		v.ScanAll(func(_ types.RowID, row []types.Value) bool {
+			if pred == nil || pred.Eval(row) {
+				out = append(out, types.CloneRow(row))
+			}
+			return true
+		})
+		return out
+	}
+	check := func(q int, desc string, want [][]types.Value, batchIt BatchIterator) {
+		t.Helper()
 		got, err := CollectBatches(batchIt)
 		if err != nil {
 			t.Fatalf("seed %d query %d (%s): batch pipeline: %v", seed, q, desc, err)
@@ -183,10 +203,10 @@ func TestBatchRowDifferential(t *testing.T) {
 					wl = w[i]
 				}
 				if gl != wl {
-					t.Errorf("row %d: batch %q, row-path %q", i, gl, wl)
+					t.Errorf("row %d: batch %q, reference %q", i, gl, wl)
 				}
 			}
-			t.Fatalf("seed %d query %d (%s): batch %d rows != row %d rows",
+			t.Fatalf("seed %d query %d (%s): batch %d rows != reference %d rows",
 				seed, q, desc, len(got), len(want))
 		}
 	}
@@ -205,24 +225,43 @@ func TestBatchRowDifferential(t *testing.T) {
 		}
 		switch rng.Intn(4) {
 		case 0: // plain scan: pushdown + projection + AsOf
-			check(q, fmt.Sprintf("scan pred=%v cols=%v asof=%d", pred, cols, asOf),
-				&TableScan{Table: tab, Pred: pred, Cols: cols, AsOf: asOf},
+			want := scan(asOf, pred)
+			if cols != nil {
+				for i, row := range want {
+					proj := make([]types.Value, len(cols))
+					for j, c := range cols {
+						proj[j] = row[c]
+					}
+					want[i] = proj
+				}
+			}
+			check(q, fmt.Sprintf("scan pred=%v cols=%v asof=%d", pred, cols, asOf), want,
 				&BatchTableScan{Table: tab, Pred: pred, Cols: cols, AsOf: asOf, BatchSize: 1 + rng.Intn(200)})
 		case 1: // scan + post-filter operator (full-width rows)
 			post := randPred(1)
-			check(q, fmt.Sprintf("filter pred=%v post=%v", pred, post),
-				&Filter{In: &TableScan{Table: tab, Pred: pred, AsOf: asOf}, Pred: post},
+			var want [][]types.Value
+			for _, row := range scan(asOf, pred) {
+				if post == nil || post.Eval(row) {
+					want = append(want, row)
+				}
+			}
+			check(q, fmt.Sprintf("filter pred=%v post=%v", pred, post), want,
 				&BatchFilter{In: &BatchTableScan{Table: tab, Pred: pred, AsOf: asOf}, Pred: post})
 		case 2: // self equi-join on category
-			check(q, fmt.Sprintf("join pred=%v", pred),
-				&HashJoin{
-					Left:    &TableScan{Table: tab, Pred: pred, AsOf: asOf},
-					Right:   &TableScan{Table: tab, Pred: expr.Cmp{Col: 2, Op: expr.OpLt, Val: types.Int(50)}, AsOf: asOf},
-					LeftCol: 1, RightCol: 1,
-				},
+			rightPred := expr.Cmp{Col: 2, Op: expr.OpLt, Val: types.Int(50)}
+			right := scan(asOf, rightPred)
+			var want [][]types.Value
+			for _, l := range scan(asOf, pred) {
+				for _, r := range right {
+					if !l[1].IsNull() && !r[1].IsNull() && types.Equal(l[1], r[1]) {
+						want = append(want, append(types.CloneRow(l), r...))
+					}
+				}
+			}
+			check(q, fmt.Sprintf("join pred=%v", pred), want,
 				&BatchHashJoin{
 					Left:    &BatchTableScan{Table: tab, Pred: pred, AsOf: asOf},
-					Right:   &BatchTableScan{Table: tab, Pred: expr.Cmp{Col: 2, Op: expr.OpLt, Val: types.Int(50)}, AsOf: asOf},
+					Right:   &BatchTableScan{Table: tab, Pred: rightPred, AsOf: asOf},
 					LeftCol: 1, RightCol: 1,
 				})
 		default: // grouped aggregation
@@ -233,10 +272,94 @@ func TestBatchRowDifferential(t *testing.T) {
 			aggs := []Agg{{Func: AggCount}, {Func: AggSum, Col: 2},
 				{Func: AggFunc(rng.Intn(5)), Col: []int{0, 2, 3}[rng.Intn(3)]}}
 			check(q, fmt.Sprintf("agg pred=%v group=%v aggs=%v asof=%d", pred, groupBy, aggs, asOf),
-				&HashAggregate{In: &TableScan{Table: tab, Pred: pred, AsOf: asOf}, GroupBy: groupBy, Aggs: aggs},
+				refAggregate(scan(asOf, pred), groupBy, aggs),
 				&BatchHashAggregate{In: &BatchTableScan{Table: tab, Pred: pred, AsOf: asOf}, GroupBy: groupBy, Aggs: aggs})
 		}
 	}
+}
+
+// refAggregate is the differential's reference grouping: bucket the
+// rows by their rendered group key, then fold each aggregate over its
+// bucket with the SQL rules spelled out — COUNT counts rows, the
+// others skip NULLs, SUM of nothing is 0, MIN/MAX/AVG of nothing are
+// NULL, integer SUM stays integer, AVG is always a float.
+func refAggregate(in [][]types.Value, groupBy []int, aggs []Agg) [][]types.Value {
+	buckets := map[string][][]types.Value{}
+	var order []string
+	for _, row := range in {
+		key := ""
+		for _, c := range groupBy {
+			key += row[c].String() + "|"
+		}
+		if _, ok := buckets[key]; !ok {
+			order = append(order, key)
+		}
+		buckets[key] = append(buckets[key], row)
+	}
+	if len(groupBy) == 0 && len(order) == 0 {
+		order = append(order, "") // a global aggregate always yields one row
+	}
+	var out [][]types.Value
+	for _, key := range order {
+		rows := buckets[key]
+		var res []types.Value
+		if len(rows) > 0 {
+			for _, c := range groupBy {
+				res = append(res, rows[0][c])
+			}
+		}
+		for _, a := range aggs {
+			var n int64
+			var sumI int64
+			var sumF float64
+			isF := false
+			min, max := types.Null, types.Null
+			for _, row := range rows {
+				v := row[a.Col]
+				if v.IsNull() {
+					continue
+				}
+				n++
+				if v.Kind == types.KindFloat64 {
+					isF = true
+					sumF += v.F
+				} else {
+					sumI += v.I
+				}
+				if min.IsNull() || types.Less(v, min) {
+					min = v
+				}
+				if max.IsNull() || types.Less(max, v) {
+					max = v
+				}
+			}
+			switch a.Func {
+			case AggCount:
+				res = append(res, types.Int(int64(len(rows))))
+			case AggSum:
+				if isF {
+					res = append(res, types.Float(sumF))
+				} else {
+					res = append(res, types.Int(sumI))
+				}
+			case AggMin:
+				res = append(res, min)
+			case AggMax:
+				res = append(res, max)
+			case AggAvg:
+				switch {
+				case n == 0:
+					res = append(res, types.Null)
+				case isF:
+					res = append(res, types.Float(sumF/float64(n)))
+				default:
+					res = append(res, types.Float(float64(sumI)/float64(n)))
+				}
+			}
+		}
+		out = append(out, res)
+	}
+	return out
 }
 
 // randOrCmp returns a sub-predicate for And/Or composition, replacing

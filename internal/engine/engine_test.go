@@ -1,14 +1,15 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/mvcc"
-	"repro/internal/rowstore"
 	"repro/internal/types"
 )
 
@@ -22,147 +23,137 @@ func ints(vs ...int64) []types.Value {
 	return out
 }
 
-func TestSliceSourceAndCollect(t *testing.T) {
-	src := NewSliceSource(rows(ints(1), ints(2), ints(3)))
-	got, err := Collect(src)
+// batchSource replays materialized rows as batches of the given size.
+func batchSource(rs [][]types.Value, size int) BatchIterator {
+	return &BatchValues{Rows: rs, BatchSize: size}
+}
+
+func sortRows(rs [][]types.Value) {
+	sort.Slice(rs, func(i, j int) bool {
+		for c := range rs[i] {
+			d := types.Compare(rs[i][c], rs[j][c])
+			if d != 0 {
+				return d < 0
+			}
+		}
+		return false
+	})
+}
+
+func TestBatchValuesAndCollect(t *testing.T) {
+	in := rows(ints(1, 2), ints(3, 4), ints(5, 6))
+	got, err := CollectBatches(batchSource(in, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 || got[1][0].I != 2 {
-		t.Fatalf("got = %v", got)
+	if !reflect.DeepEqual(got, in) {
+		t.Errorf("round trip %v, want %v", got, in)
+	}
+	// No rows, no batches.
+	if got, err := CollectBatches(batchSource(nil, 2)); err != nil || len(got) != 0 {
+		t.Errorf("empty source = %v, %v", got, err)
 	}
 	// Next before Open errors.
-	s2 := NewSliceSource(nil)
-	if _, _, err := s2.Next(); err != ErrNotOpen {
+	if _, err := (&BatchValues{}).Next(); !errors.Is(err, ErrNotOpen) {
 		t.Errorf("err = %v", err)
 	}
 }
 
-func TestFilterProjectLimit(t *testing.T) {
-	src := NewSliceSource(rows(ints(1, 10), ints(2, 20), ints(3, 30), ints(4, 40)))
-	it := &Limit{N: 2, In: &Project{
-		Cols: []int{1},
-		In:   &Filter{In: src, Pred: expr.Cmp{Col: 0, Op: expr.OpGe, Val: types.Int(2)}},
+func TestBatchUnion(t *testing.T) {
+	u := &BatchUnion{Ins: []BatchIterator{
+		batchSource(rows(ints(1)), 1),
+		batchSource(nil, 1),
+		batchSource(rows(ints(2), ints(3)), 1),
 	}}
-	got, err := Collect(it)
+	got, err := CollectBatches(u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := rows(ints(20), ints(30))
-	if !reflect.DeepEqual(got, want) {
+	if want := rows(ints(1), ints(2), ints(3)); !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v, want %v", got, want)
 	}
-}
-
-func TestUnion(t *testing.T) {
-	u := &Union{Ins: []Iterator{
-		NewSliceSource(rows(ints(1))),
-		NewSliceSource(nil),
-		NewSliceSource(rows(ints(2), ints(3))),
-	}}
-	got, err := Collect(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[2][0].I != 3 {
-		t.Errorf("got = %v", got)
+	if got, err := CollectBatches(&BatchUnion{}); err != nil || len(got) != 0 {
+		t.Errorf("empty union = %v, %v", got, err)
 	}
 }
 
-func TestHashJoin(t *testing.T) {
-	left := NewSliceSource(rows(ints(1, 100), ints(2, 200), ints(3, 300), ints(2, 201)))
-	right := NewSliceSource(rows(ints(2, 7), ints(3, 8), ints(9, 9)))
-	j := &HashJoin{Left: left, Right: right, LeftCol: 0, RightCol: 0}
-	got, err := Collect(j)
-	if err != nil {
-		t.Fatal(err)
+// TestBatchUnionFailingChildLeaksNothing pins the no-leak contract of
+// the union: when a later child's Open fails, every child opened
+// before it has been closed and no child after it was touched.
+func TestBatchUnionFailingChildLeaksNothing(t *testing.T) {
+	boom := errors.New("boom")
+	a := &trackingBatches{In: batchSource(rows(ints(1)), 1)}
+	b := &trackingBatches{In: batchSource(rows(ints(2)), 1)}
+	c := &trackingBatches{In: batchSource(nil, 1), openErr: boom}
+	d := &trackingBatches{In: batchSource(rows(ints(4)), 1)}
+	u := &BatchUnion{Ins: []BatchIterator{a, b, c, d}}
+	if _, err := CollectBatches(u); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	// Keys 2 (twice on the left), 3 match.
-	if len(got) != 3 {
-		t.Fatalf("got = %v", got)
-	}
-	for _, row := range got {
-		if len(row) != 4 || row[0].I != row[2].I {
-			t.Errorf("bad join row %v", row)
+	for name, in := range map[string]*trackingBatches{"a": a, "b": b} {
+		if in.opens != 1 || in.closes != 1 {
+			t.Errorf("%s: opens=%d closes=%d, want 1/1", name, in.opens, in.closes)
 		}
 	}
-}
+	if d.opens != 0 || d.closes != 0 {
+		t.Errorf("unreached child touched: opens=%d closes=%d", d.opens, d.closes)
+	}
 
-func TestHashJoinNullKeysNeverMatch(t *testing.T) {
-	left := NewSliceSource(rows([]types.Value{types.Null, types.Int(1)}))
-	right := NewSliceSource(rows([]types.Value{types.Null, types.Int(2)}))
-	j := &HashJoin{Left: left, Right: right, LeftCol: 0, RightCol: 0}
-	got, err := Collect(j)
-	if err != nil {
-		t.Fatal(err)
+	// A mid-stream Next error closes the child it happened in.
+	a = &trackingBatches{In: batchSource(rows(ints(1), ints(2)), 1), nextErr: boom, failAt: 2}
+	if _, err := CollectBatches(&BatchUnion{Ins: []BatchIterator{a}}); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	if len(got) != 0 {
-		t.Errorf("NULL keys joined: %v", got)
-	}
-}
-
-func TestHashAggregate(t *testing.T) {
-	src := NewSliceSource(rows(
-		[]types.Value{types.Str("a"), types.Int(1), types.Float(0.5)},
-		[]types.Value{types.Str("b"), types.Int(2), types.Float(1.5)},
-		[]types.Value{types.Str("a"), types.Int(3), types.Float(2.5)},
-		[]types.Value{types.Str("a"), types.Null, types.Float(3.5)},
-	))
-	agg := &HashAggregate{
-		In:      src,
-		GroupBy: []int{0},
-		Aggs: []Agg{
-			{Func: AggCount}, {Func: AggSum, Col: 1}, {Func: AggMin, Col: 1},
-			{Func: AggMax, Col: 1}, {Func: AggAvg, Col: 2},
-		},
-	}
-	got, err := Collect(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("groups = %v", got)
-	}
-	byKey := map[string][]types.Value{}
-	for _, r := range got {
-		byKey[r[0].S] = r
-	}
-	a := byKey["a"]
-	if a[1].I != 3 { // count counts rows
-		t.Errorf("count(a) = %v", a[1])
-	}
-	if a[2].I != 4 { // sum skips NULL
-		t.Errorf("sum(a) = %v", a[2])
-	}
-	if a[3].I != 1 || a[4].I != 3 {
-		t.Errorf("min/max(a) = %v/%v", a[3], a[4])
-	}
-	if av := a[5].F; av < 2.16 || av > 2.17 {
-		t.Errorf("avg(a) = %v", a[5])
+	if a.opens != 1 || a.closes != 1 {
+		t.Errorf("failing child: opens=%d closes=%d, want 1/1", a.opens, a.closes)
 	}
 }
 
-func TestHashAggregateGlobalEmptyInput(t *testing.T) {
-	agg := &HashAggregate{In: NewSliceSource(nil), Aggs: []Agg{{Func: AggCount}, {Func: AggSum, Col: 0}}}
-	got, err := Collect(agg)
+// TestBatchSort pins multi-key order with DESC, stability for equal
+// keys, and NULLs sorting first ascending / last descending.
+func TestBatchSort(t *testing.T) {
+	s := &BatchSort{In: batchSource(rows(ints(2, 9), ints(1, 8), ints(2, 7), ints(0, 6)), 3),
+		Keys: []SortSpec{{Col: 0}, {Col: 1, Desc: true}}}
+	got, err := CollectBatches(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0][0].I != 0 {
-		t.Errorf("global empty agg = %v", got)
+	if want := rows(ints(0, 6), ints(1, 8), ints(2, 9), ints(2, 7)); !reflect.DeepEqual(got, want) {
+		t.Errorf("got %v, want %v", got, want)
 	}
-}
 
-func TestSort(t *testing.T) {
-	src := NewSliceSource(rows(ints(2, 9), ints(1, 8), ints(2, 7), ints(0, 6)))
-	s := &Sort{In: src, Keys: []SortSpec{{Col: 0}, {Col: 1, Desc: true}}}
-	got, err := Collect(s)
+	// Equal keys keep input order (second column is the arrival tag).
+	in := rows(ints(1, 0), ints(0, 1), ints(1, 2), ints(0, 3), ints(1, 4))
+	got, err = CollectBatches(&BatchSort{In: batchSource(in, 2), Keys: []SortSpec{{Col: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := rows(ints(0, 6), ints(1, 8), ints(2, 9), ints(2, 7))
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %v", got)
+	if want := rows(ints(0, 1), ints(0, 3), ints(1, 0), ints(1, 2), ints(1, 4)); !reflect.DeepEqual(got, want) {
+		t.Errorf("unstable sort: got %v, want %v", got, want)
+	}
+
+	withNull := rows(ints(2), []types.Value{types.Null}, ints(1))
+	got, err = CollectBatches(&BatchSort{In: batchSource(withNull, 4), Keys: []SortSpec{{Col: 0}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got[0][0].IsNull() || got[1][0].I != 1 || got[2][0].I != 2 {
+		t.Errorf("ascending NULL order: %v", got)
+	}
+	got, err = CollectBatches(&BatchSort{In: batchSource(withNull, 4), Keys: []SortSpec{{Col: 0, Desc: true}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0][0].I != 2 || got[1][0].I != 1 || !got[2][0].IsNull() {
+		t.Errorf("descending NULL order: %v", got)
+	}
+
+	// Empty input, and Next before Open.
+	if got, err := CollectBatches(&BatchSort{In: batchSource(nil, 1)}); err != nil || len(got) != 0 {
+		t.Errorf("empty sort = %v, %v", got, err)
+	}
+	if _, err := (&BatchSort{}).Next(); !errors.Is(err, ErrNotOpen) {
+		t.Errorf("err = %v", err)
 	}
 }
 
@@ -188,7 +179,10 @@ func newCoreTable(t *testing.T) (*core.Database, *core.Table) {
 	return db, tab
 }
 
-func TestTableScanWithPushdown(t *testing.T) {
+// TestBatchTableScanWithPushdown checks the streaming scan on a table
+// spread across main, L2 and L1 against the answer computed by hand:
+// a two-conjunct pushed predicate, with and without projection.
+func TestBatchTableScanWithPushdown(t *testing.T) {
 	db, tab := newCoreTable(t)
 	regions := []string{"EMEA", "APJ", "AMER"}
 	tx := db.Begin(mvcc.TxnSnapshot)
@@ -207,103 +201,114 @@ func TestTableScanWithPushdown(t *testing.T) {
 	}
 	db.Commit(tx2)
 
-	scan := &TableScan{Table: tab, Pred: expr.And{
+	pred := expr.And{
 		expr.Cmp{Col: 1, Op: expr.OpEq, Val: types.Str("EMEA")},
 		expr.Cmp{Col: 2, Op: expr.OpLe, Val: types.Int(300)},
-	}}
-	got, err := Collect(scan)
-	if err != nil {
-		t.Fatal(err)
 	}
-	want := 0
-	for i := int64(1); i <= 40; i++ {
-		if regions[i%3] == "EMEA" && i*10 <= 300 {
-			want++
+	for _, cols := range [][]int{nil, {0}, {2, 1}} {
+		var want [][]types.Value
+		for i := int64(1); i <= 40; i++ {
+			if regions[i%3] != "EMEA" || i*10 > 300 {
+				continue
+			}
+			full := []types.Value{types.Int(i), types.Str(regions[i%3]), types.Int(i * 10)}
+			row := full
+			if cols != nil {
+				row = nil
+				for _, c := range cols {
+					row = append(row, full[c])
+				}
+			}
+			want = append(want, row)
 		}
-	}
-	if len(got) != want {
-		t.Errorf("scan rows = %d, want %d", len(got), want)
-	}
-	for _, r := range got {
-		if r[1].S != "EMEA" || r[2].I > 300 {
-			t.Errorf("predicate violated: %v", r)
+		got, err := CollectBatches(&BatchTableScan{Table: tab, Pred: pred, Cols: cols, BatchSize: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sortRows(want)
+		sortRows(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("cols %v: scan %v, want %v", cols, got, want)
 		}
 	}
 }
 
-func TestRowStoreScan(t *testing.T) {
-	rs, err := rowstore.New(types.MustSchema([]types.Column{
-		{Name: "id", Kind: types.KindInt64},
-		{Name: "v", Kind: types.KindInt64},
-	}, 0), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= 10; i++ {
-		rs.Insert(ints(i, i*2))
-	}
-	scan := &RowStoreScan{Store: rs, Pred: expr.Cmp{Col: 1, Op: expr.OpGt, Val: types.Int(10)}}
-	got, err := Collect(scan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 5 {
-		t.Errorf("rows = %d", len(got))
-	}
-}
-
-func TestStarJoin(t *testing.T) {
+func starFixture() (fact, customers, products [][]types.Value) {
 	// Fact: (custID, prodID, revenue)
-	fact := NewSliceSource(rows(
+	fact = rows(
 		ints(1, 10, 100), ints(2, 10, 200), ints(1, 20, 300),
 		ints(3, 10, 400), // cust 3 not in (filtered) dim
 		ints(1, 30, 500), // prod 30 not in dim
-	))
-	customers := NewSliceSource(rows(
+		[]types.Value{types.Null, types.Int(10), types.Int(600)}, // NULL foreign key
+	)
+	customers = rows(
 		[]types.Value{types.Int(1), types.Str("acme")},
 		[]types.Value{types.Int(2), types.Str("bolt")},
-	))
-	products := NewSliceSource(rows(
+		[]types.Value{types.Null, types.Str("ghost")}, // NULL dimension key matches nothing
+	)
+	products = rows(
 		[]types.Value{types.Int(10), types.Str("widget")},
 		[]types.Value{types.Int(20), types.Str("gadget")},
-	))
-	sj := &StarJoin{
-		Fact: fact,
-		Dims: []Dimension{
-			{In: customers, KeyCol: 0, FactCol: 0, Payload: []int{1}},
-			{In: products, KeyCol: 0, FactCol: 1, Payload: []int{1}},
+	)
+	return fact, customers, products
+}
+
+func TestBatchStarJoin(t *testing.T) {
+	fact, customers, products := starFixture()
+	sj := &BatchStarJoin{
+		Fact: batchSource(fact, 2),
+		Dims: []StarDim{
+			{In: batchSource(customers, 2), KeyCol: 0, FactCol: 0, Payload: []int{1}},
+			{In: batchSource(products, 2), KeyCol: 0, FactCol: 1, Payload: []int{1}},
 		},
 	}
-	// Group by customer name, sum revenue.
-	agg := &HashAggregate{In: sj, GroupBy: []int{3}, Aggs: []Agg{{Func: AggSum, Col: 2}}}
-	got, err := Collect(agg)
+	got, err := CollectBatches(sj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fact columns, then each dimension's payload, in fact order; the
+	// unmatched and NULL-key fact rows are gone.
+	want := rows(
+		[]types.Value{types.Int(1), types.Int(10), types.Int(100), types.Str("acme"), types.Str("widget")},
+		[]types.Value{types.Int(2), types.Int(10), types.Int(200), types.Str("bolt"), types.Str("widget")},
+		[]types.Value{types.Int(1), types.Int(20), types.Int(300), types.Str("acme"), types.Str("gadget")},
+	)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+
+	// Group by customer name, sum revenue — the star join feeds the
+	// aggregate without materializing in between.
+	sj.Fact = batchSource(fact, 2)
+	agg := &BatchHashAggregate{In: sj, GroupBy: []int{3}, Aggs: []Agg{{Func: AggSum, Col: 2}}}
+	grouped, err := CollectBatches(agg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sums := map[string]int64{}
-	for _, r := range got {
+	for _, r := range grouped {
 		sums[r[0].S] = r[1].I
 	}
-	if sums["acme"] != 400 || sums["bolt"] != 200 {
+	if len(sums) != 2 || sums["acme"] != 400 || sums["bolt"] != 200 {
 		t.Errorf("sums = %v", sums)
 	}
 }
 
-func TestStarJoinDuplicateDimKeyRejected(t *testing.T) {
-	sj := &StarJoin{
-		Fact: NewSliceSource(nil),
-		Dims: []Dimension{{
-			In:     NewSliceSource(rows(ints(1, 1), ints(1, 2))),
-			KeyCol: 0, FactCol: 0,
-		}},
-	}
-	if err := sj.Open(); err == nil {
+func TestBatchStarJoinDuplicateDimKeyRejected(t *testing.T) {
+	fact := &trackingBatches{In: batchSource(nil, 1)}
+	dim := &trackingBatches{In: batchSource(rows(ints(1, 1), ints(1, 2)), 1)}
+	sj := &BatchStarJoin{Fact: fact, Dims: []StarDim{{In: dim, KeyCol: 0, FactCol: 0}}}
+	if _, err := CollectBatches(sj); err == nil {
 		t.Error("duplicate dimension key accepted")
+	}
+	if dim.opens != 1 || dim.closes != 1 || fact.opens != 0 {
+		t.Errorf("dim opens=%d closes=%d, fact opens=%d; want 1/1/0", dim.opens, dim.closes, fact.opens)
 	}
 }
 
 func TestPipelineComposition(t *testing.T) {
-	// A deeper tree: scan → filter → join → aggregate → sort → limit.
+	// A deeper tree: scan → join → aggregate → sort → limit, pulled
+	// batch by batch from the root.
 	db, tab := newCoreTable(t)
 	tx := db.Begin(mvcc.TxnSnapshot)
 	for i := int64(1); i <= 50; i++ {
@@ -311,23 +316,23 @@ func TestPipelineComposition(t *testing.T) {
 	}
 	db.Commit(tx)
 
-	dims := NewSliceSource(rows(
+	dims := batchSource(rows(
 		[]types.Value{types.Str("r1"), types.Str("one")},
 		[]types.Value{types.Str("r2"), types.Str("two")},
-	))
-	plan := &Limit{N: 1, In: &Sort{
+	), 1)
+	plan := &BatchLimit{N: 1, In: &BatchSort{
 		Keys: []SortSpec{{Col: 1, Desc: true}},
-		In: &HashAggregate{
+		In: &BatchHashAggregate{
 			GroupBy: []int{4}, // dim label
 			Aggs:    []Agg{{Func: AggSum, Col: 2}},
-			In: &HashJoin{
-				Left:    &TableScan{Table: tab},
+			In: &BatchHashJoin{
+				Left:    &BatchTableScan{Table: tab, BatchSize: 8},
 				Right:   dims,
 				LeftCol: 1, RightCol: 0,
 			},
 		},
 	}}
-	got, err := Collect(plan)
+	got, err := CollectBatches(plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,24 +46,6 @@ func (s *OpStats) AddWall(d time.Duration) {
 	s.wallNanos.Add(int64(d))
 }
 
-// SetWall overwrites the wall time with the node-inclusive total (the
-// calc executor stamps this around the whole node evaluation).
-func (s *OpStats) SetWall(d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.wallNanos.Store(int64(d))
-}
-
-// SetRows overwrites the row count with the materialized total (calc
-// row-operator nodes, whose output is a slice, not batches).
-func (s *OpStats) SetRows(n int) {
-	if s == nil {
-		return
-	}
-	s.rowsOut.Store(int64(n))
-}
-
 // AddBudget records bytes reserved against the statement's memory
 // budget on behalf of this operator.
 func (s *OpStats) AddBudget(n int64) {

@@ -14,8 +14,6 @@ func TestOpStatsNilSafe(t *testing.T) {
 	var s *OpStats
 	s.AddOut(5)
 	s.AddWall(time.Second)
-	s.SetWall(time.Second)
-	s.SetRows(5)
 	s.AddBudget(100)
 	s.SetScan(core.ScanStats{Rows: 9, Workers: 4})
 	if s.RowsOut() != 0 || s.Batches() != 0 || s.Wall() != 0 ||
@@ -39,7 +37,7 @@ func TestOpStatsActuals(t *testing.T) {
 	}
 	s.AddOut(100)
 	s.AddOut(28)
-	s.SetWall(1234567 * time.Nanosecond)
+	s.AddWall(1234567 * time.Nanosecond)
 	if !s.Touched() {
 		t.Fatal("recorded OpStats not touched")
 	}
@@ -74,13 +72,10 @@ func TestOpStatsActuals(t *testing.T) {
 		t.Fatal("scanned-but-zero-wall OpStats not touched")
 	}
 
-	// SetRows overwrites (materialized total), AddBudget accumulates
-	// on top of the scan's cache bytes.
-	s.SetRows(7)
+	// AddBudget accumulates on top of the scan's cache bytes.
 	s.AddBudget(100)
 	s.AddBudget(28)
-	got = s.Actuals()
-	if !strings.HasPrefix(got, "rows=7 ") || !strings.Contains(got, "mem=4224B") {
-		t.Errorf("after overwrite Actuals = %q", got)
+	if got = s.Actuals(); !strings.Contains(got, "mem=4224B") {
+		t.Errorf("after budget charges Actuals = %q", got)
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/mvcc"
-	"repro/internal/rowstore"
 	"repro/internal/types"
+	"repro/internal/vec"
 )
 
 // TableAggregate fuses a unified-table scan with grouping and
@@ -45,7 +45,7 @@ type TableAggregate struct {
 	Stats     *OpStats
 	ScanStats *OpStats
 
-	out *SliceSource
+	out BatchValues
 	// scanned counts the table rows the fused drain read, per path.
 	scanned uint64
 }
@@ -64,7 +64,8 @@ func (a *TableAggregate) meter() *budget.Meter {
 	return budget.FromContext(a.Ctx)
 }
 
-// Open implements Iterator: it runs the whole aggregation.
+// Open implements BatchIterator: it runs the whole aggregation; Next
+// then replays the (few) group rows as batches.
 func (a *TableAggregate) Open() error {
 	if a.Stats == nil && a.ScanStats == nil {
 		return a.open()
@@ -76,10 +77,16 @@ func (a *TableAggregate) Open() error {
 	// against the plan's table node (single worker, no morsels).
 	a.ScanStats.SetScan(core.ScanStats{Rows: a.scanned, Workers: 1})
 	a.ScanStats.AddWall(time.Since(t0))
-	if a.out != nil {
+	if err == nil {
 		a.Stats.AddOut(len(a.out.Rows))
 	}
 	return err
+}
+
+// emit installs the result rows and opens the replay.
+func (a *TableAggregate) emit(rows [][]types.Value) error {
+	a.out = BatchValues{Rows: rows}
+	return a.out.Open()
 }
 
 func (a *TableAggregate) open() error {
@@ -107,8 +114,7 @@ func (a *TableAggregate) open() error {
 			if err != nil {
 				return err
 			}
-			a.out = NewSliceSource(rows)
-			return a.out.Open()
+			return a.emit(rows)
 		}
 		// Code-level grouping: accumulate into arrays indexed by the
 		// grouping column's dictionary codes, one array per code
@@ -118,8 +124,7 @@ func (a *TableAggregate) open() error {
 		if err != nil {
 			return err
 		}
-		a.out = NewSliceSource(rows)
-		return a.out.Open()
+		return a.emit(rows)
 	}
 	acc := newGroupAcc(len(a.GroupBy), a.Aggs)
 	acc.meter = a.meter()
@@ -153,8 +158,7 @@ func (a *TableAggregate) open() error {
 	if acc.err != nil {
 		return acc.err
 	}
-	a.out = NewSliceSource(acc.rows(a.GroupBy, a.Aggs))
-	return a.out.Open()
+	return a.emit(acc.rows(a.GroupBy, a.Aggs))
 }
 
 // numericOnly reports whether every aggregate derives from count and
@@ -378,61 +382,11 @@ func (a *TableAggregate) groupedByCode(v *core.View) ([][]types.Value, error) {
 	return out, nil
 }
 
-// Next implements Iterator.
-func (a *TableAggregate) Next() ([]types.Value, bool, error) {
-	if a.out == nil {
-		return nil, false, ErrNotOpen
-	}
-	return a.out.Next()
-}
+// Next implements BatchIterator.
+func (a *TableAggregate) Next() (*vec.Batch, error) { return a.out.Next() }
 
-// Close implements Iterator.
-func (a *TableAggregate) Close() error {
-	if a.out != nil {
-		return a.out.Close()
-	}
-	return nil
-}
-
-// RowStoreAggregate is the equivalent fused scan-aggregate over the
-// update-in-place baseline, keeping the E08 comparison symmetric.
-type RowStoreAggregate struct {
-	Store   *rowstore.Store
-	Pred    expr.Predicate
-	GroupBy []int
-	Aggs    []Agg
-
-	out *SliceSource
-}
-
-// Open implements Iterator.
-func (a *RowStoreAggregate) Open() error {
-	acc := newGroupAcc(len(a.GroupBy), a.Aggs)
-	a.Store.Scan(func(_ types.RowID, row []types.Value) bool {
-		if a.Pred == nil || a.Pred.Eval(row) {
-			acc.add(row, a.GroupBy, a.Aggs)
-		}
-		return true
-	})
-	a.out = NewSliceSource(acc.rows(a.GroupBy, a.Aggs))
-	return a.out.Open()
-}
-
-// Next implements Iterator.
-func (a *RowStoreAggregate) Next() ([]types.Value, bool, error) {
-	if a.out == nil {
-		return nil, false, ErrNotOpen
-	}
-	return a.out.Next()
-}
-
-// Close implements Iterator.
-func (a *RowStoreAggregate) Close() error {
-	if a.out != nil {
-		return a.out.Close()
-	}
-	return nil
-}
+// Close implements BatchIterator. Idempotent.
+func (a *TableAggregate) Close() error { return a.out.Close() }
 
 // neededColumns computes the deduplicated projection for a pure
 // aggregation and the positions of group/agg columns within it.

@@ -76,7 +76,7 @@ func buildMixedTable(t testing.TB) (*core.Database, *core.Table, int) {
 
 // TestTableAggregatePathsAgree runs the same aggregation through the
 // vectorized numeric kernel, the code-grouped path, and the generic
-// HashAggregate over a full scan, and requires identical results.
+// BatchHashAggregate over a full scan, and requires identical results.
 func TestTableAggregatePathsAgree(t *testing.T) {
 	_, tab, _ := buildMixedTable(t)
 
@@ -88,13 +88,13 @@ func TestTableAggregatePathsAgree(t *testing.T) {
 	}
 	// Path 1: fused (numeric kernel — Count/Sum/Avg only).
 	fused := &TableAggregate{Table: tab, GroupBy: []int{1}, Aggs: aggs}
-	gotFused, err := Collect(fused)
+	gotFused, err := CollectBatches(fused)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Path 2: generic over materialized scan.
-	generic := &HashAggregate{In: &TableScan{Table: tab}, GroupBy: []int{1}, Aggs: aggs}
-	gotGeneric, err := Collect(generic)
+	// Path 2: generic hash aggregate over the streaming scan.
+	generic := &BatchHashAggregate{In: &BatchTableScan{Table: tab}, GroupBy: []int{1}, Aggs: aggs}
+	gotGeneric, err := CollectBatches(generic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +103,12 @@ func TestTableAggregatePathsAgree(t *testing.T) {
 	// Path 3: Min/Max force the code-grouped (non-kernel) path.
 	aggsMM := []Agg{{Func: AggCount}, {Func: AggMin, Col: 2}, {Func: AggMax, Col: 3}}
 	fusedMM := &TableAggregate{Table: tab, GroupBy: []int{1}, Aggs: aggsMM}
-	gotMM, err := Collect(fusedMM)
+	gotMM, err := CollectBatches(fusedMM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	genericMM := &HashAggregate{In: &TableScan{Table: tab}, GroupBy: []int{1}, Aggs: aggsMM}
-	wantMM, err := Collect(genericMM)
+	genericMM := &BatchHashAggregate{In: &BatchTableScan{Table: tab}, GroupBy: []int{1}, Aggs: aggsMM}
+	wantMM, err := CollectBatches(genericMM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +121,12 @@ func TestTableAggregateWithPredicate(t *testing.T) {
 	pred := gtPred{col: 0, v: 50}
 	aggs := []Agg{{Func: AggCount}, {Func: AggSum, Col: 3}}
 	fused := &TableAggregate{Table: tab, Pred: pred, GroupBy: []int{1}, Aggs: aggs}
-	got, err := Collect(fused)
+	got, err := CollectBatches(fused)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Collect(&HashAggregate{
-		In: &TableScan{Table: tab, Pred: pred}, GroupBy: []int{1}, Aggs: aggs,
+	want, err := CollectBatches(&BatchHashAggregate{
+		In: &BatchTableScan{Table: tab, Pred: pred}, GroupBy: []int{1}, Aggs: aggs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,11 +139,11 @@ func TestTableAggregateWithPredicate(t *testing.T) {
 func TestTableAggregateMultiGroup(t *testing.T) {
 	_, tab, _ := buildMixedTable(t)
 	aggs := []Agg{{Func: AggCount}}
-	got, err := Collect(&TableAggregate{Table: tab, GroupBy: []int{1, 2}, Aggs: aggs})
+	got, err := CollectBatches(&TableAggregate{Table: tab, GroupBy: []int{1, 2}, Aggs: aggs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Collect(&HashAggregate{In: &TableScan{Table: tab}, GroupBy: []int{1, 2}, Aggs: aggs})
+	want, err := CollectBatches(&BatchHashAggregate{In: &BatchTableScan{Table: tab}, GroupBy: []int{1, 2}, Aggs: aggs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestTableAggregateMultiGroup(t *testing.T) {
 // TestTableAggregateGlobal has no group-by at all.
 func TestTableAggregateGlobal(t *testing.T) {
 	_, tab, n := buildMixedTable(t)
-	got, err := Collect(&TableAggregate{Table: tab, Aggs: []Agg{{Func: AggCount}}})
+	got, err := CollectBatches(&TableAggregate{Table: tab, Aggs: []Agg{{Func: AggCount}}})
 	if err != nil {
 		t.Fatal(err)
 	}

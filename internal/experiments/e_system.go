@@ -12,8 +12,8 @@ import (
 	"repro/internal/calc"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/experiments/rowstore"
 	"repro/internal/mvcc"
-	"repro/internal/rowstore"
 	"repro/internal/types"
 	"repro/internal/workload"
 )
@@ -178,13 +178,8 @@ func E08Myth(cfg Config) (*benchfmt.Report, error) {
 		// The symmetric fused scan-aggregate: no materialization
 		// overhead on either side; the row store still reads full
 		// records where the column table touches two columns.
-		agg := &engine.RowStoreAggregate{
-			Store:   rs,
-			GroupBy: []int{3},
-			Aggs:    []engine.Agg{{Func: engine.AggCount}, {Func: engine.AggSum, Col: 6}},
-		}
-		_, err := engine.Collect(agg)
-		return err
+		rowStoreAggregate(rs, 3, 6)
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -196,6 +191,22 @@ func E08Myth(cfg Config) (*benchfmt.Report, error) {
 		benchfmt.Factor(oltpD.Seconds(), rsOltpD.Seconds()),
 		benchfmt.Factor(olapRow.Seconds(), olapUnified.Seconds()))
 	return rep, nil
+}
+
+// rowStoreAggregate is E08's row-store comparator query: count and
+// float sum of sumCol grouped by groupCol, one pass over the records
+// with a hash group table.
+func rowStoreAggregate(rs *rowstore.Store, groupCol, sumCol int) {
+	groups := map[types.Value][2]float64{}
+	rs.Scan(func(_ types.RowID, row []types.Value) bool {
+		g := groups[row[groupCol]]
+		g[0]++
+		if v := row[sumCol]; !v.IsNull() {
+			g[1] += v.F
+		}
+		groups[row[groupCol]] = g
+		return true
+	})
 }
 
 // E09MVCC measures the two snapshot isolation levels (§1) and

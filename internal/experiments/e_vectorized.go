@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"time"
 
 	"repro/internal/benchfmt"
 	"repro/internal/core"
@@ -15,17 +16,17 @@ import (
 
 // E13Vectorized measures the vectorized read path (ISSUE 3's "E04"
 // experiment; E04 was already taken by the re-sorting merge): a
-// full-table scan-aggregate over the main store through the row-at-a-
-// time pipeline (materializing TableScan + HashAggregate) versus the
-// batch pipeline (streaming BatchTableScan + BatchHashAggregate),
-// plus the batch-size sensitivity and the effect of code-level
-// predicate pushdown.
+// full-table scan-aggregate over the main store through the streaming
+// batch pipeline (BatchTableScan + BatchHashAggregate), its batch-size
+// sensitivity, and the effect of code-level predicate pushdown and
+// limit pushdown. (The retired row-at-a-time comparator's last
+// recorded number is in EXPERIMENTS.md.)
 func E13Vectorized(cfg Config) (*benchfmt.Report, error) {
 	n := cfg.n(1_000_000)
 	rep := &benchfmt.Report{
 		ID: "E13", Title: "Vectorized batch read path (§3.1)",
-		Claim:  "block-wise decoding into typed vectors beats row-at-a-time materialization on scan-heavy queries",
-		Header: []string{"pipeline", "rows", "scan-aggregate", "speedup"},
+		Claim:  "block-wise decoding into typed vectors sits on a wide batch-size plateau, and pushdown keeps filtered-out or unneeded rows from ever being decoded",
+		Header: []string{"pipeline", "rows", "scan-aggregate", "vs default"},
 	}
 
 	db, err := memDB()
@@ -53,82 +54,63 @@ func E13Vectorized(cfg Config) (*benchfmt.Report, error) {
 		{Func: engine.AggSum, Col: 5},
 		{Func: engine.AggSum, Col: 6},
 	}
-	var rowGroups, batchGroups int
-	runtime.GC()
-	rowD, err := medianOf(3, func() error {
-		rows, err := engine.Collect(&engine.HashAggregate{
-			In: &engine.TableScan{Table: t}, GroupBy: groupBy, Aggs: aggs,
+	measure := func(batchSize int, pred expr.Predicate) (time.Duration, int, error) {
+		var groups int
+		runtime.GC()
+		d, err := medianOf(3, func() error {
+			rows, err := engine.CollectBatches(&engine.BatchHashAggregate{
+				In:      &engine.BatchTableScan{Table: t, BatchSize: batchSize, Pred: pred},
+				GroupBy: groupBy, Aggs: aggs,
+			})
+			groups = len(rows)
+			return err
 		})
-		rowGroups = len(rows)
-		return err
-	})
+		return d, groups, err
+	}
+	batchD, groups, err := measure(0, nil)
 	if err != nil {
 		return nil, err
 	}
-	runtime.GC()
-	batchD, err := medianOf(3, func() error {
-		rows, err := engine.CollectBatches(&engine.BatchHashAggregate{
-			In: &engine.BatchTableScan{Table: t}, GroupBy: groupBy, Aggs: aggs,
-		})
-		batchGroups = len(rows)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if rowGroups != batchGroups {
-		return nil, fmt.Errorf("E13: pipelines disagree: %d vs %d groups", rowGroups, batchGroups)
-	}
-	rep.AddRow("row-at-a-time (TableScan+HashAggregate)", fmtInt(n), benchfmt.Dur(rowD), "1.0x")
-	rep.AddRow("vectorized (BatchTableScan+BatchHashAggregate)", fmtInt(n), benchfmt.Dur(batchD),
-		benchfmt.Factor(rowD.Seconds(), batchD.Seconds()))
+	rep.AddRow("vectorized (BatchTableScan+BatchHashAggregate)", fmtInt(n), benchfmt.Dur(batchD), "1.0x")
 
 	// Batch-size sensitivity: tiny batches pay per-batch overhead,
 	// huge ones fall out of cache; the default sits on the plateau.
-	for _, size := range []int{64, vec.DefaultBatchSize, 16384} {
-		runtime.GC()
-		d, err := medianOf(3, func() error {
-			_, err := engine.CollectBatches(&engine.BatchHashAggregate{
-				In: &engine.BatchTableScan{Table: t, BatchSize: size}, GroupBy: groupBy, Aggs: aggs,
-			})
-			return err
-		})
+	for _, size := range []int{64, 16384} {
+		d, g, err := measure(size, nil)
 		if err != nil {
 			return nil, err
 		}
+		if g != groups {
+			return nil, fmt.Errorf("E13: batch=%d returned %d groups, default %d", size, g, groups)
+		}
 		rep.AddRow(fmt.Sprintf("vectorized, batch=%d", size), fmtInt(n), benchfmt.Dur(d),
-			benchfmt.Factor(rowD.Seconds(), d.Seconds()))
+			benchfmt.Factor(batchD.Seconds(), d.Seconds()))
 	}
 
 	// Selective scan: the pushed-down range is evaluated on dictionary
 	// codes inside each stage, so the batch path never materializes
 	// the filtered-out rows.
 	pred := expr.Between{Col: 6, Lo: types.Float(1), Hi: types.Float(50), LoInc: true, HiInc: true}
-	runtime.GC()
-	rowSelD, err := medianOf(3, func() error {
-		_, err := engine.Collect(&engine.HashAggregate{
-			In: &engine.TableScan{Table: t, Pred: pred}, GroupBy: groupBy, Aggs: aggs,
-		})
-		return err
-	})
+	selD, _, err := measure(0, pred)
 	if err != nil {
 		return nil, err
 	}
-	runtime.GC()
-	batchSelD, err := medianOf(3, func() error {
-		_, err := engine.CollectBatches(&engine.BatchHashAggregate{
-			In: &engine.BatchTableScan{Table: t, Pred: pred}, GroupBy: groupBy, Aggs: aggs,
-		})
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.AddRow("row-at-a-time, range predicate", fmtInt(n), benchfmt.Dur(rowSelD), "1.0x")
-	rep.AddRow("vectorized, range predicate", fmtInt(n), benchfmt.Dur(batchSelD),
-		benchfmt.Factor(rowSelD.Seconds(), batchSelD.Seconds()))
+	rep.AddRow("vectorized, range predicate", fmtInt(n), benchfmt.Dur(selD),
+		benchfmt.Factor(batchD.Seconds(), selD.Seconds()))
 
-	rep.AddNote("full-scan speedup %s (acceptance floor 2x); both pipelines returned %d groups",
-		benchfmt.Factor(rowD.Seconds(), batchD.Seconds()), rowGroups)
+	// Limit pushdown: the limit stops pulling after the first batch, so
+	// LIMIT 10 costs one decoded block, not a table scan.
+	runtime.GC()
+	limD, err := medianOf(3, func() error {
+		_, err := engine.CollectBatches(&engine.BatchLimit{N: 10, In: &engine.BatchTableScan{Table: t}})
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep.AddRow("vectorized, LIMIT 10 (no aggregate)", fmtInt(n), benchfmt.Dur(limD),
+		benchfmt.Factor(batchD.Seconds(), limD.Seconds()))
+
+	rep.AddNote("default batch size %d; every batch size returned %d groups", vec.DefaultBatchSize, groups)
 	return rep, nil
 }
