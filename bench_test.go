@@ -704,3 +704,54 @@ func BenchmarkE13_LimitPushdown(b *testing.B) {
 		}
 	}
 }
+
+// --- E13: the fused code-domain aggregate vs the hash aggregate ---
+
+// codeAggFixture holds 200k rows merged into main plus 5k rows in the
+// L1-delta, scanned with the default worker count.
+func codeAggFixture(b *testing.B) *fixture {
+	return stageFixture(b, "codeagg", 205_000, func() (*hana.DB, *hana.Table) {
+		db := hana.MustOpen(hana.Options{})
+		tab, _ := db.CreateTable(orderCfg("codeagg"))
+		gen := workload.NewOrderGen(1, 10_000, 1_000)
+		loadBulk(db, tab, gen.Rows(200_000))
+		drain(tab)
+		loadBulk(db, tab, gen.Rows(5_000))
+		return db, tab
+	})
+}
+
+// benchCodeAgg runs one single-column GROUP BY through the calc graph
+// — Aggregate(Table), which plans to the fused code-domain operator —
+// and through BatchHashAggregate over a morsel-parallel table scan.
+func benchCodeAgg(b *testing.B, group int, aggs ...hana.Agg) {
+	f := codeAggFixture(b)
+	for _, path := range []string{"fused", "hash"} {
+		b.Run(path, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var err error
+				if path == "fused" {
+					g := hana.NewGraph()
+					_, err = hana.ExecuteGraph(g, g.Aggregate(g.Table(f.tab), []int{group}, aggs...), hana.Env{})
+				} else {
+					_, err = hana.CollectBatches(&hana.BatchHashAggregate{
+						In: &hana.BatchTableScan{Table: f.tab}, GroupBy: []int{group}, Aggs: aggs,
+					})
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkE13_CodeAgg_MinMaxAmountByRegion(b *testing.B) {
+	benchCodeAgg(b, 3, hana.Agg{Func: hana.Min, Col: 6}, hana.Agg{Func: hana.Max, Col: 6})
+}
+func BenchmarkE13_CodeAgg_MinProductByStatus(b *testing.B) {
+	benchCodeAgg(b, 4, hana.Agg{Func: hana.Min, Col: 2})
+}
+func BenchmarkE13_CodeAgg_AvgAmountByProduct(b *testing.B) {
+	benchCodeAgg(b, 2, hana.Agg{Func: hana.Avg, Col: 6})
+}

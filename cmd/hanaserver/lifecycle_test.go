@@ -70,10 +70,16 @@ func lifecycleServer(t *testing.T, rows int, opts serverOptions) (addr string, s
 	return ln.Addr().String(), srv, db
 }
 
-// slowQuery is a grouped aggregation whose predicate keeps it off the
-// uncancellable all-numeric kernel: the fused aggregate checks its
-// context at row stride, so cancellation reaches it mid-scan.
-const slowQuery = "SQL SELECT region, SUM(amount) FROM orders WHERE quantity >= 0 GROUP BY region"
+// slowQuery is a grouped aggregation whose predicate puts it on the
+// morsel-parallel hash aggregate; kernelQuery is the unfiltered shape,
+// which runs on the fused dictionary-code kernel — grouped by the key,
+// so its code arrays and group fold are as long as the table and the
+// statement takes milliseconds however fast the scan. Both observe
+// cancellation mid-statement.
+const (
+	slowQuery   = "SQL SELECT region, SUM(amount) FROM orders WHERE quantity >= 0 GROUP BY region"
+	kernelQuery = "SQL SELECT id, SUM(amount) FROM orders GROUP BY id LIMIT 1"
+)
 
 func dialLine(t *testing.T, addr string) (net.Conn, *bufio.Scanner) {
 	t.Helper()
@@ -129,6 +135,33 @@ func TestWireStatementTimeout(t *testing.T) {
 	got = roundTripLine(t, conn, sc, slowQuery)
 	if got[len(got)-1] != "END" {
 		t.Fatalf("after clearing: %v", got[len(got)-1])
+	}
+}
+
+// TestWireStatementTimeoutKernel is TestWireStatementTimeout on the
+// unfiltered GROUP BY: the fused kernel observes the deadline inside
+// its accumulation loops, so the statement stops with the typed
+// timeout instead of running to completion.
+func TestWireStatementTimeoutKernel(t *testing.T) {
+	addr, _, db := lifecycleServer(t, 400_000, serverOptions{})
+	conn, sc := dialLine(t, addr)
+	defer conn.Close()
+
+	if got := roundTripLine(t, conn, sc, "SET STMT_TIMEOUT 1ms"); got[0] != "OK" {
+		t.Fatalf("SET: %v", got)
+	}
+	got := roundTripLine(t, conn, sc, kernelQuery)
+	last := got[len(got)-1]
+	if !strings.HasPrefix(last, "ERR") || !strings.Contains(last, "timeout") {
+		t.Fatalf("response = %v, want ERR ...timeout", got)
+	}
+	if n := db.Metrics().Counter("hana_server_statement_timeouts_total").Value(); n == 0 {
+		t.Error("timeout counter not incremented")
+	}
+	roundTripLine(t, conn, sc, "SET STMT_TIMEOUT 0s")
+	got = roundTripLine(t, conn, sc, kernelQuery)
+	if got[len(got)-1] != "END" || len(got) != 2 {
+		t.Fatalf("after clearing: %v", got)
 	}
 }
 
@@ -214,6 +247,61 @@ func TestWireKillMidStatement(t *testing.T) {
 	}
 	if n := db.Metrics().Counter("hana_server_statements_killed_total").Value(); n == 0 {
 		t.Error("kill counter not incremented")
+	}
+}
+
+// TestWireKillKernelStatement is TestWireKillMidStatement on the
+// unfiltered GROUP BY. The victim pipelines the statement so one is
+// always running on the fused kernel when KILL arrives; the running
+// statement ends with the kill cause and the session closes.
+func TestWireKillKernelStatement(t *testing.T) {
+	addr, _, _ := lifecycleServer(t, 400_000, serverOptions{})
+
+	victim, victimSc := dialLine(t, addr)
+	defer victim.Close()
+	killer, killerSc := dialLine(t, addr)
+	defer killer.Close()
+	roundTripLine(t, victim, victimSc, "COUNT orders")
+	roundTripLine(t, killer, killerSc, "COUNT orders")
+
+	const pipelined = 20
+	if _, err := fmt.Fprint(victim, strings.Repeat(kernelQuery+"\n", pipelined)); err != nil {
+		t.Fatal(err)
+	}
+	var victimID string
+	deadline := time.Now().Add(10 * time.Second)
+	for victimID == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("victim statement never showed active in SESSIONS")
+		}
+		for _, line := range roundTripLine(t, killer, killerSc, "SESSIONS") {
+			if strings.HasPrefix(line, "ROW") && strings.Contains(line, "active") {
+				victimID = strings.Fields(line)[1]
+				break
+			}
+		}
+	}
+	if got := roundTripLine(t, killer, killerSc, "KILL "+victimID); got[0] != "OK" {
+		t.Fatalf("KILL: %v", got)
+	}
+
+	// Completed statements answer END; the one the kill landed in
+	// answers with its cause, and nothing after it runs.
+	completed, last := 0, ""
+	for victimSc.Scan() {
+		last = victimSc.Text()
+		if last == "END" {
+			completed++
+		}
+		if strings.HasPrefix(last, "ERR") {
+			break
+		}
+	}
+	if !strings.Contains(last, "killed") || completed >= pipelined {
+		t.Fatalf("victim response = %q after %d completed statements, want ERR ...killed", last, completed)
+	}
+	if victimSc.Scan() {
+		t.Fatalf("killed session answered again: %q", victimSc.Text())
 	}
 }
 

@@ -47,12 +47,15 @@ func Run(cfg Config) (*Result, error) {
 
 	// Phase machinery: writers run WarmupOps unrecorded, rendezvous at
 	// the barrier, then the measured window runs until every writer
-	// finishes its MeasureOps. Analysts free-run and record only while
-	// `measuring` is set.
+	// finishes its MeasureOps and every analyst has recorded one
+	// measured op (under load a single scan can outlast the writers'
+	// whole measured phase). Analysts free-run and record only while
+	// `measuring` is set and `done` is not.
 	var (
 		warmupWG  sync.WaitGroup // writers still in warmup
 		writersWG sync.WaitGroup
 		analystWG sync.WaitGroup
+		firstOps  sync.WaitGroup // analysts yet to record a measured op
 		measuring atomic.Bool
 		done      atomic.Bool
 
@@ -182,10 +185,19 @@ func Run(cfg Config) (*Result, error) {
 		}(cl)
 	}
 
+	firstOps.Add(len(analysts))
 	for _, cl := range analysts {
 		analystWG.Add(1)
 		go func(cl runClient) {
 			defer analystWG.Done()
+			// An analyst that exits (a failed run, an exhausted
+			// routine) releases the window too.
+			recorded := false
+			defer func() {
+				if !recorded {
+					firstOps.Done()
+				}
+			}()
 			for !done.Load() {
 				op := cl.r.NextOp()
 				if op == nil {
@@ -210,11 +222,16 @@ func Run(cfg Config) (*Result, error) {
 					okOps[op.Class].Add(1)
 					hists[op.Class].Observe(d)
 				}
+				if !recorded {
+					recorded = true
+					firstOps.Done()
+				}
 			}
 		}(cl)
 	}
 
 	writersWG.Wait()
+	firstOps.Wait()
 	measureEnd := now()
 	done.Store(true)
 	analystWG.Wait()

@@ -292,16 +292,25 @@ func BenchmarkDecodeBlock(b *testing.B) {
 
 // TestScanKernelsMatchReference cross-checks the unrolled selection
 // kernels against the naive per-element reference at many widths,
-// block offsets, and word-boundary-straddling ranges.
+// block offsets, and word-boundary-straddling ranges. The membership
+// set is capped at 4 Ki codes (a full set at width 32 would be 2^31
+// entries), and every fourth code is planted below the cap so the
+// in-range branch of ScanMemberSel runs at every width.
 func TestScanKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, width := range []uint8{1, 3, 7, 8, 13, 17, 21, 32} {
 		v := NewWidth(width)
 		max := uint32(1)<<width - 1
+		allowLen := min(int(max)/2+1, 1<<12)
 		n := 1000 + rng.Intn(500)
 		for i := 0; i < n; i++ {
-			v.Append(rng.Uint32() & max)
+			if i%4 == 0 {
+				v.Append(uint32(rng.Intn(allowLen)))
+			} else {
+				v.Append(rng.Uint32() & max)
+			}
 		}
+		selected := 0
 		for trial := 0; trial < 20; trial++ {
 			start := rng.Intn(n)
 			end := start + rng.Intn(n-start+1)
@@ -326,7 +335,7 @@ func TestScanKernelsMatchReference(t *testing.T) {
 				t.Fatalf("width=%d trial=%d ScanIntervalsSel [%d,%d): got %v want %v", width, trial, start, end, got, want)
 			}
 
-			allow := make([]bool, int(max)/2+1)
+			allow := make([]bool, allowLen)
 			for i := range allow {
 				allow[i] = rng.Intn(3) == 0
 			}
@@ -341,6 +350,10 @@ func TestScanKernelsMatchReference(t *testing.T) {
 			if !reflect.DeepEqual(gotM, wantM) {
 				t.Fatalf("width=%d trial=%d ScanMemberSel [%d,%d): got %v want %v", width, trial, start, end, gotM, wantM)
 			}
+			selected += len(wantM)
+		}
+		if selected == 0 {
+			t.Fatalf("width=%d: the membership reference never selected a row", width)
 		}
 	}
 }

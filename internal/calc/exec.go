@@ -198,15 +198,16 @@ func (p *planner) operator(n *Node) (engine.BatchIterator, error) {
 func (p *planner) lower(n *Node) (engine.BatchIterator, error) {
 	st := p.st(n)
 	ctx := p.env.Ctx
-	// Aggregate over an exclusively-owned single-worker table scan
-	// fuses into one scan-aggregate with no scan operator at all (with
-	// more scan workers BatchHashAggregate drains the scan
-	// morsel-parallel itself, below).
-	if n.kind == KindAggregate {
-		if child := n.inputs[0]; child.kind == KindTable && child.tableCols == nil && p.cons[child] <= 1 && child.table.ScanWorkers() <= 1 {
+	// Aggregate over an exclusively-owned, unfiltered table scan with
+	// one group column fuses into one code-domain scan-aggregate with
+	// no scan operator at all. The rule is a property of the query, so
+	// it holds on every host; every other aggregate is a
+	// BatchHashAggregate, which drains a table scan morsel-parallel.
+	if n.kind == KindAggregate && len(n.groupBy) == 1 {
+		if child := n.inputs[0]; child.kind == KindTable && child.tableCols == nil && child.pred == nil && p.cons[child] <= 1 {
 			return &engine.TableAggregate{
 				Table: child.table, Txn: p.env.Txn, AsOf: child.asOf,
-				Pred: child.pred, GroupBy: n.groupBy, Aggs: n.aggs,
+				Group: n.groupBy[0], Aggs: n.aggs,
 				Ctx: ctx, Stats: st, ScanStats: p.st(child),
 			}, nil
 		}

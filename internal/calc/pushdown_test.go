@@ -1,11 +1,71 @@
 package calc
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/types"
 )
+
+// TestFusedAggregateRule pins the one rule that picks the fused
+// code-domain aggregate: an Aggregate whose input is an exclusively
+// owned, unfiltered table scan and which groups on exactly one column.
+// It is a property of the query, so the choice is the same for every
+// scan-worker count; every other shape plans as BatchHashAggregate.
+func TestFusedAggregateRule(t *testing.T) {
+	db, tab := salesTable(t)
+	cnt := engine.Agg{Func: engine.AggCount}
+	cases := []struct {
+		name  string
+		build func(g *Graph, t *core.Table) *Node
+		fused bool
+	}{
+		{"one group column", func(g *Graph, t *core.Table) *Node {
+			return g.Aggregate(g.Table(t), []int{1}, cnt, engine.Agg{Func: engine.AggMax, Col: 2})
+		}, true},
+		{"as of", func(g *Graph, t *core.Table) *Node {
+			return g.Aggregate(g.TableAsOf(t, 1), []int{1}, cnt)
+		}, true},
+		{"pushed predicate", func(g *Graph, t *core.Table) *Node {
+			return g.Aggregate(g.Filter(g.Table(t), lePred{col: 0, v: types.Int(60)}), []int{1}, cnt)
+		}, false},
+		{"two group columns", func(g *Graph, t *core.Table) *Node {
+			return g.Aggregate(g.Table(t), []int{1, 2}, cnt)
+		}, false},
+		{"global", func(g *Graph, t *core.Table) *Node {
+			return g.Aggregate(g.Table(t), nil, cnt)
+		}, false},
+		{"join input", func(g *Graph, t *core.Table) *Node {
+			return g.Aggregate(g.Join(g.Table(t), g.Table(t), 0, 0), []int{1}, cnt)
+		}, false},
+	}
+	for _, workers := range []int{1, 4} {
+		cfg := tab.Config()
+		cfg.Name, cfg.ScanWorkers = fmt.Sprintf("sales_w%d", workers), workers
+		table, err := db.CreateTable(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cases {
+			g := NewGraph()
+			root := c.build(g, table)
+			if err := g.compile(); err != nil {
+				t.Fatal(err)
+			}
+			it, err := newPlanner(Env{}, root, nil).build(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, fused := it.(*engine.TableAggregate)
+			_, hash := it.(*engine.BatchHashAggregate)
+			if fused != c.fused || fused == hash {
+				t.Errorf("workers=%d %s: planned %T, want fused=%v", workers, c.name, it, c.fused)
+			}
+		}
+	}
+}
 
 // TestAggregateTableFusion verifies the executor's fused
 // scan-aggregate path (Aggregate over an exclusive table scan)

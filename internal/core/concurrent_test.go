@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -111,7 +110,7 @@ func TestConcurrentHTAP(t *testing.T) {
 			t.Fatal(err)
 		}
 		stats, err := tab.MergeMain()
-		if err != nil && !errors.Is(err, nil) {
+		if err != nil {
 			t.Fatal(err)
 		}
 		st := tab.Stats()

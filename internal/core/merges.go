@@ -111,6 +111,7 @@ func (t *Table) needsMainMerge() bool {
 // on immutable inputs; only the final structure swap is latched. If
 // the merge fails, the frozen generation stays queued and the system
 // keeps operating on the new L2-delta (§3.1's failure semantics).
+// A merge already in flight (the scheduler's) is waited out first.
 //
 // It returns the merge statistics, or nil when there was nothing to
 // merge.
@@ -118,15 +119,17 @@ func (t *Table) MergeMain() (*merge.Stats, error) {
 	return t.mergeMain(context.Background(), nil, true)
 }
 
-// MergeMainCtx is MergeMain under a context: the merge observes
-// cancellation between per-column phases and aborts with ctx.Err(),
-// leaving the frozen generation queued for a later retry.
+// MergeMainCtx is MergeMain under a context: the wait for an
+// in-flight merge and the merge's per-column phases observe
+// cancellation and abort with ctx.Err(), leaving the frozen
+// generation queued for a later retry.
 func (t *Table) MergeMainCtx(ctx context.Context) (*merge.Stats, error) {
 	return t.mergeMain(ctx, nil, true)
 }
 
 // MergeMainQueued merges the oldest frozen generation but never
-// rotates the open L2-delta: when nothing is frozen it is a no-op.
+// rotates the open L2-delta: when nothing is frozen it is a no-op,
+// and while another merge is in flight it fails without waiting.
 // The scheduler pairs it with RotateL2IfFull so the decision to close
 // a generation is always made on latched state.
 func (t *Table) MergeMainQueued() (*merge.Stats, error) {
@@ -150,6 +153,22 @@ func (t *Table) mergeMain(ctx context.Context, failPoint func(string) error, aut
 			failPoint = *fp
 		}
 	}
+	// An explicit merge waits out the in-flight one (the scheduler's)
+	// and then merges whatever is left; the queued merge skips.
+	if autoRotate {
+		select {
+		case t.mergeSlot <- struct{}{}:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	} else {
+		select {
+		case t.mergeSlot <- struct{}{}:
+		default:
+			return nil, fmt.Errorf("core: merge already in flight on %q", t.cfg.Name)
+		}
+	}
+	defer func() { <-t.mergeSlot }()
 	t.mu.Lock()
 	if len(t.frozen) == 0 && autoRotate {
 		t.rotateL2Locked()
@@ -157,10 +176,6 @@ func (t *Table) mergeMain(ctx context.Context, failPoint func(string) error, aut
 	if len(t.frozen) == 0 {
 		t.mu.Unlock()
 		return nil, nil
-	}
-	if t.mergeInFlight {
-		t.mu.Unlock()
-		return nil, fmt.Errorf("core: merge already in flight on %q", t.cfg.Name)
 	}
 	t.mergeInFlight = true
 	t.pendingDeletes = nil

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/expr"
@@ -217,10 +218,9 @@ func TestParallelScanCancellation(t *testing.T) {
 	// observe it and the scan must return the context error.
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
-	var batches int
+	var batches atomic.Int64
 	err = v.ScanBatchesParallel(ctx, nil, nil, 4, 4, func(_, _ int, b *vec.Batch) bool {
-		batches++
-		if batches == 2 {
+		if batches.Add(1) == 2 {
 			cancel()
 		}
 		return true

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -200,5 +201,64 @@ func TestSchedulerMergesMultipleTables(t *testing.T) {
 		if got := countRows(tab); got != 200 {
 			t.Fatalf("%s: %d rows, want 200", tab.Name(), got)
 		}
+	}
+}
+
+// TestExplicitMergeWaitsForInFlight pins the explicit-merge contract:
+// while another merge (the scheduler's) is computing, MergeMain waits
+// for it and then merges what is left instead of failing; MergeMainCtx
+// abandons the wait with the context's error; the scheduler's queued
+// entry point still refuses without waiting.
+func TestExplicitMergeWaitsForInFlight(t *testing.T) {
+	db := memDB(t)
+	tab := mkTable(t, db, TableConfig{})
+	mustInsert(t, db, tab, orow(1, "a", 1), orow(2, "b", 2))
+	if _, err := tab.MergeL1(); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	first := make(chan error, 1)
+	go func() {
+		_, err := tab.mergeMain(context.Background(), func(string) error {
+			once.Do(func() { close(entered); <-release })
+			return nil
+		}, true)
+		first <- err
+	}()
+	<-entered
+
+	// New rows reach the open L2-delta while the first merge computes.
+	mustInsert(t, db, tab, orow(3, "c", 3))
+	if _, err := tab.MergeL1(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.MergeMainQueued(); err == nil {
+		t.Fatal("queued merge did not refuse while a merge is in flight")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := tab.MergeMainCtx(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled wait: err = %v, want context.Canceled", err)
+	}
+	second := make(chan error, 1)
+	go func() {
+		_, err := tab.MergeMain()
+		second <- err
+	}()
+	select {
+	case err := <-second:
+		t.Fatalf("explicit merge returned while another was in flight: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-second; err != nil {
+		t.Fatalf("explicit merge after waiting: %v", err)
+	}
+	if st := tab.Stats(); st.MainRows != 3 || st.L2Rows != 0 || st.MainMerges != 2 {
+		t.Fatalf("after both merges: %+v", st)
 	}
 }

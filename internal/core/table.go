@@ -75,6 +75,10 @@ type Table struct {
 	// met caches the table's metric handles (see metrics.go); always
 	// non-nil, with nil handles when observability is disabled.
 	met *tableMetrics
+
+	// mergeSlot holds a token while an L2→main merge runs, so merges
+	// of one table never overlap.
+	mergeSlot chan struct{}
 }
 
 func newTable(db *Database, cfg TableConfig) *Table {
@@ -82,6 +86,8 @@ func newTable(db *Database, cfg TableConfig) *Table {
 		cfg:   cfg,
 		db:    db,
 		tombs: mainstore.NewTombstones(),
+
+		mergeSlot: make(chan struct{}, 1),
 	}
 	t.l1 = l1delta.New(cfg.Schema)
 	t.l2 = l2delta.New(cfg.Schema, cfg.Indexed)

@@ -7,37 +7,30 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/core"
-	"repro/internal/expr"
 	"repro/internal/mvcc"
 	"repro/internal/types"
 	"repro/internal/vec"
 )
 
-// TableAggregate fuses a unified-table scan with grouping and
-// aggregation: the view's block-decoding columnar scan feeds the
-// aggregate states directly, with no intermediate row
-// materialization — the scan-based aggregation pattern the main store
-// is optimized for (§3, §5). The calc executor compiles
-// Aggregate(Table) pairs to this operator.
+// TableAggregate fuses an unfiltered unified-table scan with
+// grouping on one column: every stage accumulates into arrays indexed
+// by its own dictionary codes, with no intermediate row
+// materialization and no per-row hashing, and the few groups merge by
+// value at the end — dictionary-encoded aggregation (§4.1) over the
+// scan-friendly main store (§3, §5). The calc executor compiles every
+// Aggregate(Table) with one group column and no pushed predicate to
+// this operator; all other shapes run as BatchHashAggregate.
 type TableAggregate struct {
 	Table *core.Table
 	Txn   *mvcc.Txn
 	AsOf  uint64
-	// Pred filters rows (evaluated on the projected columns when
-	// PredOnProjection is set, on full rows otherwise).
-	Pred expr.Predicate
-	// GroupBy and Aggs reference the table's original column
-	// ordinals.
-	GroupBy []int
-	Aggs    []Agg
-	// Ctx, when non-nil, cancels the aggregation at row-stride
-	// granularity — the fused operator is where a single-worker
-	// group-by spends its whole life, so kills and timeouts must reach
-	// inside it.
+	// Group and Aggs reference the table's original column ordinals.
+	Group int
+	Aggs  []Agg
+	// Ctx, when non-nil, cancels the aggregation inside its kernels
+	// and carries the statement's budget.Meter, which is charged
+	// before accumulator state is allocated.
 	Ctx context.Context
-	// Budget, when non-nil, charges accumulator growth against the
-	// statement's memory budget (falls back to the Ctx-carried meter).
-	Budget *budget.Meter
 	// Stats, when non-nil, collects the aggregate's actuals; ScanStats
 	// receives the fused-away scan node's numbers (rows read from the
 	// table before grouping), since no scan operator exists to report
@@ -46,23 +39,15 @@ type TableAggregate struct {
 	ScanStats *OpStats
 
 	out BatchValues
-	// scanned counts the table rows the fused drain read, per path.
+	// scanned counts the table rows the fused drain read.
 	scanned uint64
 }
 
-// ctxCheckStride bounds how many rows a fused aggregation processes
-// between context checks: frequent enough that cancellation reaches a
-// running statement in microseconds, rare enough to vanish in scan
-// cost.
+// ctxCheckStride bounds how many rows the code-grouped drain
+// processes between context checks: frequent enough that
+// cancellation reaches a running statement in microseconds, rare
+// enough to vanish in scan cost.
 const ctxCheckStride = 1024
-
-// meter resolves the effective budget meter.
-func (a *TableAggregate) meter() *budget.Meter {
-	if a.Budget != nil {
-		return a.Budget
-	}
-	return budget.FromContext(a.Ctx)
-}
 
 // Open implements BatchIterator: it runs the whole aggregation; Next
 // then replays the (few) group rows as batches.
@@ -83,17 +68,13 @@ func (a *TableAggregate) Open() error {
 	return err
 }
 
-// emit installs the result rows and opens the replay.
-func (a *TableAggregate) emit(rows [][]types.Value) error {
-	a.out = BatchValues{Rows: rows}
-	return a.out.Open()
-}
-
 func (a *TableAggregate) open() error {
-	if a.Ctx != nil {
-		if err := a.Ctx.Err(); err != nil {
-			return err
-		}
+	ctx := a.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	var v *core.View
 	if a.AsOf != 0 {
@@ -103,62 +84,24 @@ func (a *TableAggregate) open() error {
 	}
 	defer v.Close()
 
-	if a.Pred == nil && len(a.GroupBy) == 1 {
-		if a.numericOnly() {
-			// Fully vectorized: per-stage kernels accumulate counts
-			// and sums indexed by dictionary codes, touching only the
-			// decoded code blocks and the dictionaries' numeric
-			// backing arrays (§4.1, [15]). The kernel runs to
-			// completion; cancellation is only observed at its edges.
-			rows, err := a.numericGrouped(v)
-			if err != nil {
-				return err
-			}
-			return a.emit(rows)
-		}
-		// Code-level grouping: accumulate into arrays indexed by the
-		// grouping column's dictionary codes, one array per code
-		// space, and merge the (few) groups by value at the end —
-		// no per-row hashing (§4.1).
-		rows, err := a.groupedByCode(v)
-		if err != nil {
-			return err
-		}
-		return a.emit(rows)
-	}
-	acc := newGroupAcc(len(a.GroupBy), a.Aggs)
-	acc.meter = a.meter()
-	seen := 0
-	tick := func() bool {
-		seen++
-		if a.Ctx != nil && seen%ctxCheckStride == 0 {
-			if err := a.Ctx.Err(); err != nil {
-				acc.err = err
-				return false
-			}
-		}
-		return acc.err == nil
-	}
-	if a.Pred != nil {
-		// Predicates need full rows; use the filtering scan.
-		v.Filter(a.Pred, func(m core.Match) bool {
-			acc.add(m.Row, a.GroupBy, a.Aggs)
-			return tick()
-		})
+	var rows [][]types.Value
+	var err error
+	if a.numericOnly() {
+		// Fully vectorized: per-stage kernels accumulate counts and
+		// sums indexed by dictionary codes, touching only the decoded
+		// code blocks and the dictionaries' numeric backing arrays
+		// (§4.1, [15]).
+		rows, err = a.numericGrouped(ctx, v)
 	} else {
-		// Pure aggregation: decode only the needed columns.
-		cols, gIdx, aIdx := neededColumns(a.GroupBy, a.Aggs)
-		v.ScanCols(cols, func(_ types.RowID, vals []types.Value) bool {
-			acc.addProjected(vals, gIdx, aIdx, a.Aggs)
-			return tick()
-		})
+		// MIN/MAX or non-numeric inputs: aggregate states in arrays
+		// indexed by the group column's codes, one per code space.
+		rows, err = a.groupedByCode(ctx, v)
 	}
-	a.scanned = uint64(seen)
-	a.Stats.AddBudget(acc.reserved)
-	if acc.err != nil {
-		return acc.err
+	if err != nil {
+		return err
 	}
-	return a.emit(acc.rows(a.GroupBy, a.Aggs))
+	a.out = BatchValues{Rows: rows}
+	return a.out.Open()
 }
 
 // numericOnly reports whether every aggregate derives from count and
@@ -181,11 +124,10 @@ func (a *TableAggregate) numericOnly() bool {
 	return true
 }
 
-// numericGrouped executes via the view's vectorized kernel.
-func (a *TableAggregate) numericGrouped(v *core.View) ([][]types.Value, error) {
-	schema := a.Table.Schema()
-	var dataCols []int
-	aIdx := make([]int, len(a.Aggs))
+// dataColumns deduplicates the aggregated columns: aIdx[i] is Aggs[i]'s
+// position in dataCols, -1 for COUNT.
+func (a *TableAggregate) dataColumns() (dataCols, aIdx []int) {
+	aIdx = make([]int, len(a.Aggs))
 	remap := map[int]int{}
 	for i, spec := range a.Aggs {
 		if spec.Func == AggCount {
@@ -200,7 +142,14 @@ func (a *TableAggregate) numericGrouped(v *core.View) ([][]types.Value, error) {
 		}
 		aIdx[i] = p
 	}
-	groups, err := v.AggregateNumeric(a.GroupBy[0], dataCols)
+	return dataCols, aIdx
+}
+
+// numericGrouped executes via the view's vectorized kernel.
+func (a *TableAggregate) numericGrouped(ctx context.Context, v *core.View) ([][]types.Value, error) {
+	schema := a.Table.Schema()
+	dataCols, aIdx := a.dataColumns()
+	groups, err := v.AggregateNumericCtx(ctx, a.Group, dataCols)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +193,6 @@ type spaceStates struct {
 	states []aggState
 	seen   []bool
 	null   []aggState
-	hasNul bool
 }
 
 func (sp *spaceStates) grow(code int, naggs int) {
@@ -257,33 +205,18 @@ func (sp *spaceStates) grow(code int, naggs int) {
 	}
 }
 
-func (a *TableAggregate) groupedByCode(v *core.View) ([][]types.Value, error) {
+func (a *TableAggregate) groupedByCode(ctx context.Context, v *core.View) ([][]types.Value, error) {
 	naggs := len(a.Aggs)
-	dataCols := make([]int, 0, naggs)
-	aIdx := make([]int, naggs)
-	remap := map[int]int{}
-	for i, spec := range a.Aggs {
-		if spec.Func == AggCount {
-			aIdx[i] = -1
-			continue
-		}
-		p, ok := remap[spec.Col]
-		if !ok {
-			p = len(dataCols)
-			dataCols = append(dataCols, spec.Col)
-			remap[spec.Col] = p
-		}
-		aIdx[i] = p
-	}
+	dataCols, aIdx := a.dataColumns()
 
 	var spaces []*spaceStates
-	meter := a.meter()
+	meter := budget.FromContext(ctx)
 	var scanErr error
 	seen := 0
-	meta := v.ScanGrouped(a.GroupBy[0], dataCols, func(space int, code int32, vals []types.Value) bool {
+	meta := v.ScanGrouped(a.Group, dataCols, func(space int, code int32, vals []types.Value) bool {
 		seen++
-		if a.Ctx != nil && seen%ctxCheckStride == 0 {
-			if err := a.Ctx.Err(); err != nil {
+		if seen%ctxCheckStride == 0 {
+			if err := ctx.Err(); err != nil {
 				scanErr = err
 				return false
 			}
@@ -294,20 +227,20 @@ func (a *TableAggregate) groupedByCode(v *core.View) ([][]types.Value, error) {
 		sp := spaces[space]
 		var states []aggState
 		if code < 0 {
-			if !sp.hasNul {
+			if sp.null == nil {
 				sp.null = make([]aggState, naggs)
-				sp.hasNul = true
 			}
 			states = sp.null
 		} else {
-			before := len(sp.states)
-			sp.grow(int(code), naggs)
-			if grown := len(sp.states) - before; grown > 0 {
-				if err := meter.Reserve(int64(grown) * aggStateBytes); err != nil {
+			if int(code) >= len(sp.seen) {
+				// Charge the growth before allocating it.
+				grown := int64((int(code)+1)*naggs-len(sp.states)) * aggStateBytes
+				if err := meter.Reserve(grown); err != nil {
 					scanErr = err
 					return false
 				}
-				a.Stats.AddBudget(int64(grown) * aggStateBytes)
+				a.Stats.AddBudget(grown)
+				sp.grow(int(code), naggs)
 			}
 			sp.seen[code] = true
 			states = sp.states[int(code)*naggs : (int(code)+1)*naggs]
@@ -332,24 +265,14 @@ func (a *TableAggregate) groupedByCode(v *core.View) ([][]types.Value, error) {
 		key    types.Value
 		states []aggState
 	}
-	byValue := map[types.Value]*finalGroup{}
+	byValue := map[types.Value]*finalGroup{} // the NULL group as types.Null
 	var order []*finalGroup
-	var nullGroup *finalGroup
-	fold := func(key types.Value, isNull bool, states []aggState) {
-		var g *finalGroup
-		if isNull {
-			if nullGroup == nil {
-				nullGroup = &finalGroup{key: types.Null, states: make([]aggState, naggs)}
-				order = append(order, nullGroup)
-			}
-			g = nullGroup
-		} else {
-			g = byValue[key]
-			if g == nil {
-				g = &finalGroup{key: key, states: make([]aggState, naggs)}
-				byValue[key] = g
-				order = append(order, g)
-			}
+	fold := func(key types.Value, states []aggState) {
+		g := byValue[key]
+		if g == nil {
+			g = &finalGroup{key: key, states: make([]aggState, naggs)}
+			byValue[key] = g
+			order = append(order, g)
 		}
 		for i := range states {
 			g.states[i].merge(&states[i])
@@ -360,14 +283,12 @@ func (a *TableAggregate) groupedByCode(v *core.View) ([][]types.Value, error) {
 			continue
 		}
 		for code := range sp.seen {
-			if !sp.seen[code] {
-				continue
+			if sp.seen[code] {
+				fold(meta[si].Resolve(uint32(code)), sp.states[code*naggs:(code+1)*naggs])
 			}
-			val := meta[si].Resolve(uint32(code))
-			fold(val, false, sp.states[code*naggs:(code+1)*naggs])
 		}
-		if sp.hasNul {
-			fold(types.Null, true, sp.null)
+		if sp.null != nil {
+			fold(types.Null, sp.null)
 		}
 	}
 	out := make([][]types.Value, 0, len(order))
@@ -488,21 +409,6 @@ func (g *groupAcc) group(aggs []Agg) *aggGroup {
 	g.groups[h] = append(g.groups[h], grp)
 	g.order = append(g.order, grp)
 	return grp
-}
-
-// add accumulates a full row addressed by original ordinals.
-func (g *groupAcc) add(row []types.Value, groupBy []int, aggs []Agg) {
-	for i, c := range groupBy {
-		g.keybuf[i] = row[c]
-	}
-	grp := g.group(aggs)
-	for i, spec := range aggs {
-		var v types.Value
-		if spec.Func != AggCount {
-			v = row[spec.Col]
-		}
-		grp.states[i].add(spec.Func, v)
-	}
 }
 
 // addProjected accumulates an already-projected row via precomputed

@@ -87,7 +87,7 @@ func TestTableAggregatePathsAgree(t *testing.T) {
 		{Func: AggAvg, Col: 3},
 	}
 	// Path 1: fused (numeric kernel — Count/Sum/Avg only).
-	fused := &TableAggregate{Table: tab, GroupBy: []int{1}, Aggs: aggs}
+	fused := &TableAggregate{Table: tab, Group: 1, Aggs: aggs}
 	gotFused, err := CollectBatches(fused)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestTableAggregatePathsAgree(t *testing.T) {
 
 	// Path 3: Min/Max force the code-grouped (non-kernel) path.
 	aggsMM := []Agg{{Func: AggCount}, {Func: AggMin, Col: 2}, {Func: AggMax, Col: 3}}
-	fusedMM := &TableAggregate{Table: tab, GroupBy: []int{1}, Aggs: aggsMM}
+	fusedMM := &TableAggregate{Table: tab, Group: 1, Aggs: aggsMM}
 	gotMM, err := CollectBatches(fusedMM)
 	if err != nil {
 		t.Fatal(err)
@@ -113,56 +113,6 @@ func TestTableAggregatePathsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareGroups(t, "minmax", gotMM, wantMM)
-}
-
-// TestTableAggregateWithPredicate exercises the filtered path.
-func TestTableAggregateWithPredicate(t *testing.T) {
-	_, tab, _ := buildMixedTable(t)
-	pred := gtPred{col: 0, v: 50}
-	aggs := []Agg{{Func: AggCount}, {Func: AggSum, Col: 3}}
-	fused := &TableAggregate{Table: tab, Pred: pred, GroupBy: []int{1}, Aggs: aggs}
-	got, err := CollectBatches(fused)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := CollectBatches(&BatchHashAggregate{
-		In: &BatchTableScan{Table: tab, Pred: pred}, GroupBy: []int{1}, Aggs: aggs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareGroups(t, "predicate", got, want)
-}
-
-// TestTableAggregateMultiGroup exercises the generic projected path
-// (two group columns).
-func TestTableAggregateMultiGroup(t *testing.T) {
-	_, tab, _ := buildMixedTable(t)
-	aggs := []Agg{{Func: AggCount}}
-	got, err := CollectBatches(&TableAggregate{Table: tab, GroupBy: []int{1, 2}, Aggs: aggs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := CollectBatches(&BatchHashAggregate{In: &BatchTableScan{Table: tab}, GroupBy: []int{1, 2}, Aggs: aggs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareGroups(t, "multigroup", got, want)
-}
-
-// TestTableAggregateGlobal has no group-by at all.
-func TestTableAggregateGlobal(t *testing.T) {
-	_, tab, n := buildMixedTable(t)
-	got, err := CollectBatches(&TableAggregate{Table: tab, Aggs: []Agg{{Func: AggCount}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("rows = %v", got)
-	}
-	if got[0][0].I <= 0 || got[0][0].I > int64(n) {
-		t.Fatalf("count = %v (inserted %d minus deletes)", got[0][0], n)
-	}
 }
 
 func compareGroups(t *testing.T, label string, got, want [][]types.Value) {
@@ -184,13 +134,3 @@ func compareGroups(t *testing.T, label string, got, want [][]types.Value) {
 		}
 	}
 }
-
-type gtPred struct {
-	col int
-	v   int64
-}
-
-func (p gtPred) Eval(row []types.Value) bool {
-	return !row[p.col].IsNull() && row[p.col].I > p.v
-}
-func (p gtPred) String() string { return "gt" }

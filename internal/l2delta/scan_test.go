@@ -1,6 +1,8 @@
 package l2delta
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -98,7 +100,9 @@ func TestAccumNumericL2(t *testing.T) {
 	colCnt := [][]int64{make([]int64, card+1), make([]int64, card+1)}
 	colSumI := [][]int64{make([]int64, card+1), make([]int64, card+1)}
 	colSumF := [][]float64{make([]float64, card+1), make([]float64, card+1)}
-	s.AccumNumeric(1, []int{2, 3}, s.Len(), snap, 0, counts, colCnt, colSumI, colSumF)
+	if err := s.AccumNumeric(context.Background(), 1, []int{2, 3}, s.Len(), snap, 0, counts, colCnt, colSumI, colSumF); err != nil {
+		t.Fatal(err)
+	}
 
 	get := func(city string) (int64, int64, float64) {
 		code, ok := s.Dict(1).Lookup(types.Str(city))
@@ -129,5 +133,24 @@ func TestSchemaStampCodesAccessors(t *testing.T) {
 	}
 	if s.Codes(1).Len() != s.Len() {
 		t.Fatal("Codes accessor broken")
+	}
+}
+
+// TestAccumNumericObservesCtx proves a cancelled context stops the
+// kernel on entry, before any code is accumulated.
+func TestAccumNumericObservesCtx(t *testing.T) {
+	s, snap := scanFixture(t)
+	card := s.Dict(1).Len()
+	counts := make([]int64, card+1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := s.AccumNumeric(ctx, 1, nil, s.Len(), snap, 0, counts, nil, nil, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	for code, n := range counts {
+		if n != 0 {
+			t.Fatalf("counts[%d] = %d after a cancelled accumulation", code, n)
+		}
 	}
 }

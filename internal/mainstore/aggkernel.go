@@ -1,5 +1,11 @@
 package mainstore
 
+import "context"
+
+// ctxStride is how many codes the kernel accumulates between context
+// checks (64 Ki).
+const ctxStride = 64 << 10
+
 // Vectorized numeric aggregation kernel: accumulates count/sum of
 // numeric data columns grouped by the dictionary codes of one column,
 // operating directly on block-decoded codes and the dictionaries'
@@ -12,9 +18,11 @@ package mainstore
 // Cardinality(groupCol)+1). For each data column k, colCnt[k],
 // colSumI[k], colSumF[k] accumulate non-NULL count and sums, indexed
 // the same way. Data columns must be numeric (INT64/DATE/BOOLEAN sum
-// into colSumI, DOUBLE into colSumF).
-func (s *Store) AccumNumeric(groupCol int, dataCols []int, tomb *Tombstones, snap, self uint64,
-	counts []int64, colCnt, colSumI [][]int64, colSumF [][]float64) {
+// into colSumI, DOUBLE into colSumF). ctx is observed at every part
+// and every ctxStride codes within one; its error ends the
+// accumulation early.
+func (s *Store) AccumNumeric(ctx context.Context, groupCol int, dataCols []int, tomb *Tombstones, snap, self uint64,
+	counts []int64, colCnt, colSumI [][]int64, colSumF [][]float64) error {
 	const block = 1024
 	nullIdx := len(counts) - 1
 	// Flatten per-column dictionary arrays into the global code space.
@@ -46,6 +54,11 @@ func (s *Store) AccumNumeric(groupCol int, dataCols []int, tomb *Tombstones, sna
 	for _, p := range s.parts {
 		n := p.NumRows()
 		for start := 0; start < n; start += block {
+			if start%ctxStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
 			end := start + block
 			if end > n {
 				end = n
@@ -78,4 +91,5 @@ func (s *Store) AccumNumeric(groupCol int, dataCols []int, tomb *Tombstones, sna
 			}
 		}
 	}
+	return nil
 }

@@ -1,6 +1,8 @@
 package mainstore
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -110,7 +112,9 @@ func TestAccumNumericChain(t *testing.T) {
 	colCnt := [][]int64{make([]int64, card+1), make([]int64, card+1)}
 	colSumI := [][]int64{make([]int64, card+1), make([]int64, card+1)}
 	colSumF := [][]float64{make([]float64, card+1), make([]float64, card+1)}
-	s.AccumNumeric(1, []int{2, 3}, tomb, snap, 0, counts, colCnt, colSumI, colSumF)
+	if err := s.AccumNumeric(context.Background(), 1, []int{2, 3}, tomb, snap, 0, counts, colCnt, colSumI, colSumF); err != nil {
+		t.Fatal(err)
+	}
 
 	sums := map[string][3]float64{} // count, sum(qty), sum(price)
 	for code := 0; code <= card; code++ {
@@ -174,5 +178,23 @@ func TestColumnBytesAndMemSize(t *testing.T) {
 	r := s.Row(Loc{Part: 1, Pos: 0})
 	if len(r) != 4 || r[1].S != "d" {
 		t.Fatalf("Row = %v", r)
+	}
+}
+
+// TestAccumNumericObservesCtx proves a cancelled context stops the
+// chain kernel at the first part, before any code is accumulated.
+func TestAccumNumericObservesCtx(t *testing.T) {
+	s, tomb, m := chainFixture(t)
+	counts := make([]int64, s.Cardinality(1)+1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := s.AccumNumeric(ctx, 1, nil, tomb, m.LastCommitted(), 0, counts, nil, nil, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	for code, n := range counts {
+		if n != 0 {
+			t.Fatalf("counts[%d] = %d after a cancelled accumulation", code, n)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // TestStatementTimeout proves a statement exceeding the engine's
@@ -37,7 +38,8 @@ func TestStatementMemBudget(t *testing.T) {
 	e.SetLimits(Limits{MemBytes: 256})
 	// Grouping by customer creates several groups; each charges well
 	// over 256 bytes of aggregate state. The predicate keeps the plan
-	// off the all-numeric vectorized kernel, which runs unbudgeted.
+	// on the hash aggregate; TestStatementLimitsUnfiltered covers the
+	// fused kernel.
 	_, err := e.Exec(nil, "SELECT customer, COUNT(*), SUM(amount) FROM orders WHERE quantity >= 0 GROUP BY customer")
 	if !errors.Is(err, budget.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
@@ -47,6 +49,52 @@ func TestStatementMemBudget(t *testing.T) {
 	e.SetLimits(Limits{MemBytes: 64 << 20})
 	if _, err := e.Exec(nil, "SELECT customer, COUNT(*) FROM orders WHERE quantity >= 0 GROUP BY customer"); err != nil {
 		t.Fatalf("with generous budget: %v", err)
+	}
+}
+
+// TestStatementLimitsUnfiltered runs the timeout and budget checks on
+// the unfiltered GROUP BY, which plans to the fused dictionary-code
+// kernel on every scan-worker count: the kernel observes the
+// statement's deadline and charges its accumulators to the budget
+// before allocating them, with the rows in the L1-delta and again
+// after a merge into main.
+func TestStatementLimitsUnfiltered(t *testing.T) {
+	e := ordersEngine(t, core.TableConfig{}, 2000)
+	const q = "SELECT customer, COUNT(*), SUM(amount) FROM orders GROUP BY customer"
+	parallel := e.DB().Metrics().Counter("hana_parallel_scans_total", obs.L("table", "orders"))
+	tab := e.DB().Table("orders")
+	for _, stage := range []string{"l1", "main"} {
+		if stage == "main" {
+			if _, err := tab.MergeL1(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tab.MergeMain(); err != nil {
+				t.Fatal(err)
+			}
+			if st := tab.Stats(); st.MainRows != 2000 {
+				t.Fatalf("merge left %+v", st)
+			}
+		}
+		before := parallel.Value()
+		e.SetLimits(Limits{Timeout: time.Nanosecond})
+		if _, err := e.Exec(nil, q); !errors.Is(err, ErrStatementTimeout) {
+			t.Fatalf("%s: err = %v, want ErrStatementTimeout", stage, err)
+		}
+		e.SetLimits(Limits{MemBytes: 256})
+		if _, err := e.Exec(nil, q); !errors.Is(err, budget.ErrBudgetExceeded) {
+			t.Fatalf("%s: err = %v, want ErrBudgetExceeded", stage, err)
+		}
+		e.SetLimits(Limits{Timeout: 10 * time.Second, MemBytes: 64 << 20})
+		res, err := e.Exec(nil, q)
+		if err != nil {
+			t.Fatalf("%s: with generous limits: %v", stage, err)
+		}
+		if len(res.Rows) != 7 {
+			t.Fatalf("%s: %d groups, want 7", stage, len(res.Rows))
+		}
+		if after := parallel.Value(); after != before {
+			t.Fatalf("%s: the unfiltered GROUP BY took the morsel-parallel hash path", stage)
+		}
 	}
 }
 

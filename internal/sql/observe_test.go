@@ -93,6 +93,20 @@ func TestExplainAnalyzeOracle(t *testing.T) {
 		t.Errorf("analyzed plan shape diverged:\n--- analyzed (stripped) ---\n%s\n--- static ---\n%s", got, static)
 	}
 
+	// The unfiltered GROUP BY runs on the fused code-domain aggregate,
+	// which has no scan operator: the table node still reports the
+	// rows the kernel read.
+	plan, _, err = e.ExplainAnalyzeCtx(context.Background(), nil, "SELECT region, COUNT(*) FROM orders GROUP BY region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rowsAt(t, plan, "table(orders)"); got != 30 {
+		t.Errorf("fused scan actual rows = %d, want 30 (plan:\n%s)", got, plan)
+	}
+	if got := rowsAt(t, plan, "aggregate("); got != 3 {
+		t.Errorf("fused aggregate actual rows = %d, want 3 (plan:\n%s)", got, plan)
+	}
+
 	// Total aggregate over the full table: 30 in, 1 out.
 	plan, _, err = e.ExplainAnalyzeCtx(context.Background(), nil, "SELECT COUNT(*) FROM orders")
 	if err != nil {
