@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench fuzz torture soak staticcheck obs-bench race-parallel e15-smoke bench-parallel bench-mixed bench-mixed-smoke sql-smoke chaos-smoke explain-smoke check-regress check
+.PHONY: all build test vet race race-all bench fuzz torture soak staticcheck obs-bench race-parallel e15-smoke sql-smoke chaos-smoke explain-smoke check
 
 # Torture-harness knobs (see internal/torture): the seed and op count
 # for the differential run, overridable per invocation:
@@ -75,87 +75,46 @@ race-parallel:
 		./internal/engine
 
 # E15 smoke: the morsel-parallel scaling experiment at reduced scale,
-# as a does-it-still-run gate (the recorded trajectory point lives in
-# BENCH_parallel_scan.json; regenerate it with bench-parallel).
+# as a does-it-still-run gate (the gating number is the benchmark's
+# core.parallel_scan_speedup cell; see BENCHMARK.json).
 e15-smoke:
 	$(GO) run ./cmd/hanabench -run E15 -scale 0.3
-
-# Full-scale E15 run, recording the scan-scaling trajectory point
-# (ROADMAP item 5) for this machine.
-bench-parallel:
-	$(GO) run ./cmd/hanabench -run E15 -json BENCH_parallel_scan.json
-
-# Sustained mixed-workload trajectory (E16): the two recorded
-# scenarios — oltp (90/10 read/write) and htap (50/50 on the OLTP
-# side, analysts scanning throughout) — each oracle-verified, writing
-# the committed baseline files. Re-record on the machine of record
-# when the engine legitimately gets faster or slower.
-bench-mixed:
-	$(GO) run ./cmd/hanabench mixed -scenario oltp -json BENCH_mixed_oltp.json
-	$(GO) run ./cmd/hanabench mixed -scenario htap -json BENCH_mixed_htap.json
-	$(GO) run ./cmd/hanabench mixed -scenario sql -json BENCH_mixed_sql.json
 
 # SQL front-end gate under the race detector: the compiler's own
 # suite (parser round-trips, typed-AST checks, golden plan shapes,
 # morsel-parallel fusion counter), the wire-level SQL command and
 # SQL-vs-legacy differential tests, and the SQL-driven mixed workload
-# with its oracle differential.
+# over the wire with its row-by-row oracle differential.
 sql-smoke:
 	$(GO) test -race -count 1 -timeout 180s ./internal/sql
 	$(GO) test -race -count 1 -timeout 120s \
-		-run 'TestSQLWireCommands|TestSQLWireTransactions|TestSQLLegacyDifferential|TestMixedBenchOverWireSQL' \
+		-run 'TestSQLWireCommands|TestSQLWireTransactions|TestSQLLegacyDifferential|TestMixedBenchOverWireSQL|TestMixedSQLMatchesNative|TestMixedDeterministicEndState' \
 		./cmd/hanaserver
-	$(GO) test -race -count 1 -timeout 300s -run 'TestMixedSQL' ./internal/bench
-
-# Short deterministic mixed-workload gate under the race detector:
-# the harness's own smoke (every op class live, merges mid-run, oracle
-# differential), the same-seed determinism check, and the
-# over-the-wire run through hanaserver.
-bench-mixed-smoke:
-	$(GO) test -race -count 1 -timeout 300s \
-		-run 'TestMixedSmoke|TestMixedUnderAdmissionControl' ./internal/bench
-	$(GO) test -race -count 1 -timeout 120s \
-		-run 'TestMixedBenchOverWire' ./cmd/hanaserver
 
 # Query-lifecycle and network-chaos gate under the race detector: the
 # multi-seed netfault run (mixed SQL workload through fault-injected
-# connections, oracle-verified, goroutine-leak checked, one server
-# surviving all seeds), the statement timeout / memory budget / KILL
-# wire tests, the reconnecting-client suite, and the fault-injector's
-# own tests.
+# connections, oracle-verified row by row, goroutine-leak checked, one
+# server surviving all seeds), the wire driver's other inputs and its
+# self-test, the statement timeout / memory budget / KILL wire tests,
+# the reconnecting-client suite, and the fault-injector's own tests.
 chaos-smoke:
 	$(GO) test -race -count 1 -timeout 300s \
-		-run 'TestChaosWireBench|TestWireStatementTimeout|TestWireMemBudget|TestWireKillMidStatement|TestDrainDuringExecute|TestTornLineNotExecuted' \
+		-run 'TestChaosWireBench|TestMixedBenchOverWire|TestWireDriverSelfTest|TestWireStatementTimeout|TestWireMemBudget|TestWireKillMidStatement|TestDrainDuringExecute|TestTornLineNotExecuted' \
 		./cmd/hanaserver
 	$(GO) test -race -count 1 -timeout 120s ./internal/client ./internal/netfault ./internal/budget
-
-# Regression gate: re-measure both scenarios quickly and compare
-# against the committed baselines with the default tolerance band
-# (wide on purpose — it trips on collapses, not on host noise).
-check-regress:
-	$(GO) run ./cmd/hanabench mixed -scenario oltp -ops 2000 -preload 8000 \
-		-json .bench_current_oltp.json
-	$(GO) run ./cmd/hanabench regress -baseline BENCH_mixed_oltp.json \
-		-current .bench_current_oltp.json
-	$(GO) run ./cmd/hanabench mixed -scenario htap -ops 2000 -preload 8000 \
-		-json .bench_current_htap.json
-	$(GO) run ./cmd/hanabench regress -baseline BENCH_mixed_htap.json \
-		-current .bench_current_htap.json
 
 # Query-observability gate under the race detector: the pinned
 # EXPLAIN ANALYZE oracle (per-operator actual row counts over the
 # wire), killed-statement span replay via TRACE <stmt-id>, SLOWLOG
-# capture, the TRACE table filter, and the EXPLAIN ANALYZE pass over
-# the E16 mixed SQL scenario's statement classes asserting stats-tree/
-# plan-shape congruence.
+# capture, the TRACE table filter, the engine-level EXPLAIN ANALYZE
+# oracle, and the mixed workload's statement classes asserting
+# stats-tree/plan-shape congruence.
 explain-smoke:
 	$(GO) test -race -count 1 -timeout 180s \
 		-run 'TestWireExplainAnalyzeOracle|TestWireKilledStatementSpans|TestWireSlowLog|TestWireTraceTableFilter' \
 		./cmd/hanaserver
 	$(GO) test -race -count 1 -timeout 120s \
-		-run 'TestMixedSQLExplainAnalyze' ./internal/bench
-	$(GO) test -race -count 1 -timeout 120s \
-		-run 'TestExplainAnalyzeOracle|TestStmtSpans|TestSlowQuery|TestCutExplain|TestExplainViaExec' \
+		-run 'TestExplainAnalyzeOracle|TestMixedSQLExplainAnalyze|TestStmtSpans|TestSlowQuery|TestCutExplain|TestExplainViaExec' \
 		./internal/sql
 
 # E14 observability gate: the instrumented 1M-row scan must stay
@@ -176,4 +135,4 @@ soak:
 		-run 'TestGracefulDrain|TestMaxConnsShedding|TestAcceptLoopSurvivesTransientErrors|TestOversizedLineReported' \
 		./cmd/hanaserver
 
-check: test vet staticcheck race race-parallel torture soak obs-bench e15-smoke bench-mixed-smoke sql-smoke chaos-smoke explain-smoke
+check: test vet staticcheck race race-parallel torture soak obs-bench e15-smoke sql-smoke chaos-smoke explain-smoke

@@ -9,8 +9,6 @@ package hana_test
 import (
 	"context"
 	"os"
-	"runtime"
-	"sort"
 	"testing"
 	"time"
 
@@ -18,18 +16,11 @@ import (
 )
 
 // TestExplainStatsOverhead runs the grouped scan-aggregate through
-// the SQL engine alternating between the plain path (no collection:
-// every operator's Stats pointer is nil) and EXPLAIN ANALYZE (stats
-// tree armed, every operator recording), and fails if the armed path
-// exceeds the plain path by more than 2%. Gated on OBS_BENCH so plain
-// `go test ./...` stays fast.
-//
-// The measurement is built for a noisy shared host (single executions
-// here flap by ±30%): the two paths interleave at single-execution
-// granularity so any load drift hits both sample sets identically,
-// and each side is summarized by the mean of its fastest half — a
-// trimmed estimator that, unlike a lone minimum, cannot be decided by
-// one lucky scheduling quantum.
+// the SQL engine on the plain path (no collection: every operator's
+// Stats pointer is nil) and under EXPLAIN ANALYZE (stats tree armed,
+// every operator recording), and fails if the armed path exceeds the
+// plain path by more than 2% (see overheadGate for the estimator).
+// Gated on OBS_BENCH so plain `go test ./...` stays fast.
 func TestExplainStatsOverhead(t *testing.T) {
 	if os.Getenv("OBS_BENCH") == "" {
 		t.Skip("set OBS_BENCH=1 (or run `make obs-bench`) for the overhead measurement")
@@ -65,60 +56,5 @@ func TestExplainStatsOverhead(t *testing.T) {
 		}
 		return d
 	}
-
-	// Warm both paths so neither pays first-touch costs in the
-	// measured rounds.
-	execOff()
-	execOn()
-
-	// Mean of the fastest half: robust to the long right tail the
-	// host's scheduler produces, while still averaging enough samples
-	// that a single fast outlier cannot carry the verdict.
-	trimmed := func(ds []time.Duration) time.Duration {
-		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		keep := ds[:len(ds)/2]
-		var sum time.Duration
-		for _, d := range keep {
-			sum += d
-		}
-		return sum / time.Duration(len(keep))
-	}
-
-	measure := func() (time.Duration, time.Duration, float64) {
-		runtime.GC() // start each attempt with equal collector debt
-		const rounds = 24
-		off := make([]time.Duration, 0, rounds)
-		on := make([]time.Duration, 0, rounds)
-		for i := 0; i < rounds; i++ {
-			// Alternate which path runs first so a monotone drift
-			// within the attempt cannot systematically favor either.
-			if i%2 == 0 {
-				off = append(off, execOff())
-				on = append(on, execOn())
-			} else {
-				on = append(on, execOn())
-				off = append(off, execOff())
-			}
-		}
-		to, tn := trimmed(off), trimmed(on)
-		return to, tn, float64(tn-to) / float64(to)
-	}
-
-	// A genuine regression exceeds the budget on every attempt; host
-	// jitter (this gate shares a machine with everything else) does
-	// not, so a passing re-measure clears a noisy read.
-	const attempts = 4
-	for i := 1; ; i++ {
-		offMean, onMean, overhead := measure()
-		t.Logf("explain-stats: 1M-row scan-aggregate plain=%v analyzed=%v overhead=%+.2f%% (attempt %d)",
-			offMean, onMean, overhead*100, i)
-		if overhead <= 0.02 {
-			return
-		}
-		if i == attempts {
-			t.Errorf("per-operator stats overhead %.2f%% exceeds the 2%% budget on all %d attempts (plain=%v analyzed=%v)",
-				overhead*100, attempts, offMean, onMean)
-			return
-		}
-	}
+	overheadGate(t, "explain-stats: 1M-row scan-aggregate, plain vs analyzed", execOff, execOn)
 }

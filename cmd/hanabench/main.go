@@ -1,18 +1,12 @@
-// Command hanabench drives the reproduction's benchmarks.
-//
-// Default mode regenerates every experiment of the reproduction (one
+// Command hanabench regenerates the reproduction's experiments (one
 // per paper figure; see DESIGN.md §5) and prints the measured tables
-// recorded in EXPERIMENTS.md. Two subcommands drive the sustained
-// mixed-workload harness (internal/bench) and its regression gate:
+// recorded in EXPERIMENTS.md. The repo's gating benchmark is
+// `go run ./benchmark` (BENCHMARK.json); this command only prints.
 //
-//	hanabench                       # run all experiments at scale 1.0
-//	hanabench -scale 0.2            # faster, smaller
-//	hanabench -run E05,E08          # selected experiments
-//	hanabench -list                 # list experiment ids
-//	hanabench mixed -scenario htap  # sustained OLTP/OLAP mix, oracle-verified
-//	hanabench mixed -scenario sql   # same mix driven through the SQL front end
-//	hanabench mixed -addr :4321     # same, over the wire against hanaserver
-//	hanabench regress -baseline BENCH_mixed_oltp.json -current /tmp/cur.json
+//	hanabench               # run all experiments at scale 1.0
+//	hanabench -scale 0.2    # faster, smaller
+//	hanabench -run E05,E08  # selected experiments
+//	hanabench -list         # list experiment ids
 package main
 
 import (
@@ -23,155 +17,25 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/benchfmt"
 	"repro/internal/experiments"
 )
 
 func main() {
-	args := os.Args[1:]
-	var err error
-	switch {
-	case len(args) > 0 && args[0] == "mixed":
-		err = runMixed(args[1:], os.Stdout)
-	case len(args) > 0 && args[0] == "regress":
-		err = runRegress(args[1:], os.Stdout)
-	default:
-		err = runExperiments(args, os.Stdout)
-	}
-	if err != nil {
+	if err := runExperiments(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "hanabench: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// runMixed runs one sustained mixed-workload scenario and optionally
-// writes its trajectory point (BENCH_mixed_<scenario>.json schema).
-func runMixed(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("hanabench mixed", flag.ContinueOnError)
-	scenario := fs.String("scenario", "oltp", "preset: "+strings.Join(bench.ScenarioNames(), ", "))
-	writers := fs.Int("writers", 0, "concurrent OLTP routines (0 = preset)")
-	analysts := fs.Int("analysts", -1, "concurrent OLAP scan-aggregate routines (-1 = preset)")
-	warmup := fs.Int("warmup-ops", -1, "per-writer unrecorded warmup ops (-1 = preset)")
-	ops := fs.Int("ops", 0, "per-writer measured ops (0 = preset)")
-	preload := fs.Int("preload", 0, "rows bulk-loaded before the clock starts (0 = preset)")
-	seed := fs.Int64("seed", 0, "workload seed (0 = preset)")
-	uniform := fs.Bool("uniform", false, "uniform point-read keys instead of zipfian")
-	zipfS := fs.Float64("zipf", 0, "zipfian point-read skew s > 1 (0 = default)")
-	l1max := fs.Int("l1-max-rows", 0, "L1-delta merge threshold (0 = preset)")
-	throttle := fs.Int("throttle-rows", 0, "delta backlog throttle threshold (0 = off)")
-	overload := fs.Int("overload-rows", 0, "delta backlog reject threshold (0 = off)")
-	addr := fs.String("addr", "", "run over the wire against a hanaserver at this address")
-	useSQL := fs.Bool("sql", false, "drive every operation through the SQL front end (implied by -scenario sql)")
-	jsonOut := fs.String("json", "", "write the trajectory point as JSON to this file")
-	noVerify := fs.Bool("no-verify", false, "skip the end-state oracle differential")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	cfg, err := bench.ScenarioConfig(*scenario)
-	if err != nil {
-		return err
-	}
-	if *writers > 0 {
-		cfg.Writers = *writers
-	}
-	if *analysts >= 0 {
-		cfg.Analysts = *analysts
-	}
-	if *warmup >= 0 {
-		cfg.WarmupOps = *warmup
-	}
-	if *ops > 0 {
-		cfg.MeasureOps = *ops
-	}
-	if *preload > 0 {
-		cfg.Preload = *preload
-	}
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
-	if *uniform {
-		cfg.Uniform = true
-	}
-	if *zipfS > 0 {
-		cfg.ZipfS = *zipfS
-	}
-	if *l1max > 0 {
-		cfg.L1MaxRows = *l1max
-	}
-	cfg.ThrottleRows = *throttle
-	cfg.OverloadRows = *overload
-	cfg.Addr = *addr
-	if *useSQL {
-		cfg.SQL = true
-	}
-	if *noVerify {
-		cfg.Verify = false
-	}
-
-	fmt.Fprintf(out, "hanabench mixed: scenario=%s host=%s\n\n", cfg.Scenario, benchfmt.Host())
-	start := time.Now()
-	res, err := bench.Run(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(out, res.Report().String())
-	fmt.Fprintf(out, "(%s wall time)\n", time.Since(start).Round(time.Millisecond))
-	if *jsonOut != "" {
-		tf := res.Trajectory(time.Now().UTC().Format("2006-01-02"))
-		if err := benchfmt.WriteTrajectory(*jsonOut, tf); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", *jsonOut)
-	}
-	return nil
-}
-
-// runRegress gates a current trajectory file against a committed
-// baseline with a tolerance band; violations exit non-zero.
-func runRegress(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("hanabench regress", flag.ContinueOnError)
-	baseline := fs.String("baseline", "", "committed baseline BENCH_*.json (required)")
-	current := fs.String("current", "", "freshly measured BENCH_*.json (required)")
-	tputTol := fs.Float64("tput-tol", bench.DefaultTolerance.ThroughputDrop,
-		"max allowed throughput drop as a fraction of baseline")
-	latTol := fs.Float64("lat-tol", bench.DefaultTolerance.LatencyRise,
-		"max allowed p99 rise as a multiple of baseline")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *baseline == "" || *current == "" {
-		return fmt.Errorf("regress: -baseline and -current are required")
-	}
-	tol := bench.Tolerance{ThroughputDrop: *tputTol, LatencyRise: *latTol}
-	violations, notes, err := bench.CompareFiles(*baseline, *current, tol)
-	if err != nil {
-		return err
-	}
-	for _, n := range notes {
-		fmt.Fprintf(out, "note: %s\n", n)
-	}
-	for _, v := range violations {
-		fmt.Fprintf(out, "FAIL: %s\n", v)
-	}
-	if len(violations) > 0 {
-		return fmt.Errorf("regress: %d violation(s) against %s", len(violations), *baseline)
-	}
-	fmt.Fprintf(out, "regression gate OK: %s within band of %s (tput-tol=%.2f lat-tol=%.2f)\n",
-		*current, *baseline, tol.ThroughputDrop, tol.LatencyRise)
-	return nil
-}
-
-// runExperiments is the legacy default mode: the per-figure
-// experiments, with -json now writing the same trajectory envelope
-// (host metadata included) the mixed harness uses.
+// runExperiments runs the selected per-figure experiments and prints
+// their tables, headed by the host they ran on.
 func runExperiments(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("hanabench", flag.ContinueOnError)
 	scale := fs.Float64("scale", 1.0, "workload scale factor")
 	run := fs.String("run", "", "comma-separated experiment ids (default: all)")
 	seed := fs.Int64("seed", 42, "workload seed")
 	list := fs.Bool("list", false, "list experiments and exit")
-	jsonOut := fs.String("json", "", "write the selected reports (tables + metrics) as JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -195,9 +59,8 @@ func runExperiments(args []string, out io.Writer) error {
 		}
 	}
 	cfg := experiments.Config{Scale: *scale, Seed: *seed}
-	fmt.Fprintf(out, "hanabench: scale=%.2f seed=%d (%d experiments)\n\n", *scale, *seed, len(selected))
+	fmt.Fprintf(out, "hanabench: scale=%.2f seed=%d host=%s (%d experiments)\n\n", *scale, *seed, benchfmt.Host(), len(selected))
 	failed := 0
-	var reports []*benchfmt.Report
 	for _, e := range selected {
 		start := time.Now()
 		rep, err := e.Run(cfg)
@@ -206,22 +69,8 @@ func runExperiments(args []string, out io.Writer) error {
 			failed++
 			continue
 		}
-		reports = append(reports, rep)
 		fmt.Fprint(out, rep.String())
 		fmt.Fprintf(out, "(%s wall time)\n\n", time.Since(start).Round(time.Millisecond))
-	}
-	if *jsonOut != "" {
-		tf := &benchfmt.TrajectoryFile{
-			Scale:   *scale,
-			Seed:    *seed,
-			Date:    time.Now().UTC().Format("2006-01-02"),
-			Host:    benchfmt.Host(),
-			Reports: reports,
-		}
-		if err := benchfmt.WriteTrajectory(*jsonOut, tf); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", *jsonOut)
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d experiment(s) failed", failed)

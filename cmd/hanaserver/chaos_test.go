@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	hana "repro"
-	"repro/internal/bench"
 	"repro/internal/leakcheck"
 	"repro/internal/netfault"
 	"repro/internal/workload"
@@ -17,7 +16,7 @@ import (
 // seeded-fault injected (resets, partial writes, stalls, slow-drip
 // reads), the reconnecting client retries with an unlimited budget so
 // every operation reaches a definitive outcome, and the end state
-// must still pass the oracle differential — across many seeds,
+// must still match the oracle row by row — across many seeds,
 // against ONE server instance that has to stay serviceable through
 // all of it, with zero goroutine leaks at the end.
 //
@@ -40,7 +39,6 @@ func TestChaosWireBench(t *testing.T) {
 	}
 	var totalReconnects, totalRetries uint64
 	for seed := int64(1); seed <= seeds; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			plan := netfault.Plan{
 				Seed:        seed,
@@ -50,37 +48,20 @@ func TestChaosWireBench(t *testing.T) {
 				StallDur:    500_000, // 0.5ms
 				DripProb:    0.03,
 			}
-			res, err := bench.Run(bench.Config{
-				Scenario:   "chaos",
-				Writers:    2,
-				Analysts:   1,
-				WarmupOps:  5,
-				MeasureOps: 50,
-				Preload:    150,
-				Seed:       seed,
-				Mix:        workload.Mix{InsertPct: 20, UpdatePct: 25, DeletePct: 5},
-				L1MaxRows:  100,
-				Addr:       ln.Addr().String(),
-				SQL:        true,
-				Table:      fmt.Sprintf("chaos_%d", seed),
-				Verify:     true,
-				Dial:       netfault.Dialer(plan, nil),
-				MaxRetries: -1, // every op must reach a definitive outcome
+			// Any op abandoned at the transport fails the run: with
+			// unlimited retries every op must reach an answer.
+			d := drive(t, driveConfig{
+				addr: ln.Addr().String(), table: fmt.Sprintf("chaos_%d", seed), verbs: sqlVerbs,
+				writers: 2, ops: 55, preload: 150, seed: seed,
+				mix:        workload.Mix{InsertPct: 20, UpdatePct: 25, DeletePct: 5},
+				dial:       netfault.Dialer(plan, nil),
+				maxRetries: -1,
 			})
-			if err != nil {
-				t.Fatalf("chaos run (seed %d): %v", seed, err)
+			if _, err := d.verify(); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
 			}
-			if res.VerifiedFacts == 0 {
-				t.Fatalf("seed %d: oracle differential did not run", seed)
-			}
-			for name, cs := range res.Classes {
-				if cs.TransportErrors != 0 {
-					t.Errorf("seed %d: class %s abandoned %d ops at the transport despite unlimited retries",
-						seed, name, cs.TransportErrors)
-				}
-			}
-			totalReconnects += res.Reconnects
-			totalRetries += res.Retries
+			totalReconnects += d.reconnects
+			totalRetries += d.retries
 
 			// The server must still serve a clean connection after the
 			// faulted sessions are gone.

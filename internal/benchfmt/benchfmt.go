@@ -17,18 +17,6 @@ type Report struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
-	// Metrics carries machine-readable scalars alongside the formatted
-	// table, so trajectory files (BENCH_*.json) can track a number
-	// across commits without parsing the rendered rows.
-	Metrics map[string]float64 `json:",omitempty"`
-}
-
-// SetMetric records a machine-readable scalar under a stable name.
-func (r *Report) SetMetric(name string, v float64) {
-	if r.Metrics == nil {
-		r.Metrics = map[string]float64{}
-	}
-	r.Metrics[name] = v
 }
 
 // AddRow appends a formatted row.

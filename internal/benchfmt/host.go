@@ -1,14 +1,12 @@
 package benchfmt
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 )
 
-// HostInfo is the machine context a benchmark ran under. Recorded in
-// every trajectory file so a number can be judged against its
+// HostInfo is the machine context a benchmark ran under. hanabench
+// prints it above its tables so a number can be judged against its
 // hardware: a "regression" measured on a single-core container is a
 // different fact than one measured on the 16-core baseline host.
 type HostInfo struct {
@@ -34,40 +32,4 @@ func Host() HostInfo {
 func (h HostInfo) String() string {
 	return fmt.Sprintf("%s/%s %s cpus=%d gomaxprocs=%d",
 		h.OS, h.Arch, h.GoVersion, h.NumCPU, h.GOMAXPROCS)
-}
-
-// TrajectoryFile is the envelope of a committed BENCH_*.json
-// trajectory point: the run parameters, the host it was measured on,
-// and the reports (tables + machine-readable metrics). The regression
-// gate (internal/bench.CompareFiles) diffs two of these.
-type TrajectoryFile struct {
-	Scale float64 `json:",omitempty"`
-	Seed  int64
-	Date  string
-	Host  HostInfo
-	// Reports carries one Report per experiment or scenario; the
-	// Metrics map inside each is the machine-readable surface.
-	Reports []*Report
-}
-
-// WriteTrajectory writes the envelope as indented JSON.
-func WriteTrajectory(path string, tf *TrajectoryFile) error {
-	buf, err := json.MarshalIndent(tf, "", "  ")
-	if err != nil {
-		return fmt.Errorf("benchfmt: marshal %s: %w", path, err)
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-// ReadTrajectory loads a trajectory file.
-func ReadTrajectory(path string) (*TrajectoryFile, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var tf TrajectoryFile
-	if err := json.Unmarshal(buf, &tf); err != nil {
-		return nil, fmt.Errorf("benchfmt: parse %s: %w", path, err)
-	}
-	return &tf, nil
 }

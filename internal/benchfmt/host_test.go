@@ -1,7 +1,6 @@
 package benchfmt
 
 import (
-	"path/filepath"
 	"runtime"
 	"testing"
 )
@@ -16,27 +15,5 @@ func TestHostCapturesRuntime(t *testing.T) {
 	}
 	if h.GoVersion == "" {
 		t.Fatalf("host go version empty")
-	}
-}
-
-func TestTrajectoryRoundTrip(t *testing.T) {
-	rep := &Report{ID: "EXX", Title: "round trip", Header: []string{"a"}}
-	rep.AddRow("1")
-	rep.SetMetric("point.tput", 123.5)
-	tf := &TrajectoryFile{Seed: 7, Date: "2026-08-08", Host: Host(), Reports: []*Report{rep}}
-
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	if err := WriteTrajectory(path, tf); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	got, err := ReadTrajectory(path)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if got.Seed != 7 || got.Host.NumCPU != tf.Host.NumCPU || len(got.Reports) != 1 {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	if got.Reports[0].Metrics["point.tput"] != 123.5 {
-		t.Fatalf("metric lost: %+v", got.Reports[0].Metrics)
 	}
 }

@@ -17,8 +17,8 @@ import (
 // workers, first as a raw batch scan (the kernel the worker pool
 // amortizes) and then as the scan-aggregate the calc layer emits. The
 // acceptance floor is a 2x speedup at 4 workers over the sequential
-// path; the Metrics block is the trajectory point recorded in
-// BENCH_parallel_scan.json (ROADMAP item 5).
+// path. The gating measurement of the same claim is the benchmark's
+// core.parallel_scan_speedup cell (BENCHMARK.json).
 func E15ParallelScan(cfg Config) (*benchfmt.Report, error) {
 	n := cfg.n(1_000_000)
 	rep := &benchfmt.Report{
@@ -48,14 +48,12 @@ func E15ParallelScan(cfg Config) (*benchfmt.Report, error) {
 	if g := runtime.GOMAXPROCS(0); g > 4 {
 		workerSet = append(workerSet, g)
 	}
-	rep.SetMetric("rows", float64(n))
-	rep.SetMetric("gomaxprocs", float64(runtime.GOMAXPROCS(0)))
 
 	// Raw morsel-parallel scan: decode every batch, count rows. The
 	// callback does no per-row work, so this isolates the scan kernel
 	// plus dispatch overhead. Each run pins its own view (views hold
 	// the table read latch).
-	var scanBase time.Duration
+	var scanBase, scan4 time.Duration
 	for _, w := range workerSet {
 		w := w
 		runtime.GC()
@@ -76,13 +74,14 @@ func E15ParallelScan(cfg Config) (*benchfmt.Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		if w == 1 {
+		switch w {
+		case 1:
 			scanBase = d
+		case 4:
+			scan4 = d
 		}
 		rep.AddRow("raw batch scan", fmtInt(w), fmtInt(n), benchfmt.Dur(d),
 			benchfmt.Factor(scanBase.Seconds(), d.Seconds()))
-		rep.SetMetric(metricName("scan_seconds_w", w), d.Seconds())
-		rep.SetMetric(metricName("scan_speedup_w", w), scanBase.Seconds()/d.Seconds())
 	}
 
 	// Scan-aggregate: the BatchHashAggregate drain the calc layer
@@ -113,14 +112,10 @@ func E15ParallelScan(cfg Config) (*benchfmt.Report, error) {
 		}
 		rep.AddRow("scan-aggregate", fmtInt(w), fmtInt(n), benchfmt.Dur(d),
 			benchfmt.Factor(aggBase.Seconds(), d.Seconds()))
-		rep.SetMetric(metricName("agg_seconds_w", w), d.Seconds())
-		rep.SetMetric(metricName("agg_speedup_w", w), aggBase.Seconds()/d.Seconds())
 	}
 
 	rep.AddNote("raw-scan speedup at 4 workers: %s on GOMAXPROCS=%d (acceptance floor 2x needs >=4 cores; on a single-core host the interesting number is the overhead, i.e. how close to 1.0x the pool stays)",
-		benchfmt.Factor(scanBase.Seconds(), rep.Metrics["scan_seconds_w4"]), runtime.GOMAXPROCS(0))
+		benchfmt.Factor(scanBase.Seconds(), scan4.Seconds()), runtime.GOMAXPROCS(0))
 	rep.AddNote("worker counts above the morsel count are clamped; ScanWorkers=1 is the sequential single-cursor path")
 	return rep, nil
 }
-
-func metricName(prefix string, w int) string { return prefix + fmtInt(w) }

@@ -120,6 +120,57 @@ func TestExplainAnalyzeOracle(t *testing.T) {
 	}
 }
 
+// TestMixedSQLExplainAnalyze covers the mixed OLTP/OLAP workload's
+// statement classes — the region scan-aggregate, the point read, the
+// full-row update and the delete — over a merged main with a live
+// delta: each stats tree is congruent with the static plan line for
+// line, every line carries an annotation (actuals, not executed, or
+// shared) and at least one carries actuals. Zero binds on both sides
+// compare like with like.
+func TestMixedSQLExplainAnalyze(t *testing.T) {
+	e := ordersEngine(t, core.TableConfig{}, 30)
+	tab := e.DB().Table("orders")
+	if _, err := tab.MergeL1(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.MergeMain(); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e, nil, "INSERT INTO orders VALUES (30, 'cust-2', 'EMEA', 3, 45.5)")
+	zs, zi := types.Str(""), types.Int(0)
+	for _, c := range []struct {
+		text string
+		args []types.Value
+	}{
+		{"SELECT region, COUNT(*), SUM(quantity), SUM(amount) FROM orders GROUP BY region", nil},
+		{"SELECT id FROM orders WHERE id = ?", []types.Value{zi}},
+		{"UPDATE orders SET customer = ?, region = ?, quantity = ?, amount = ? WHERE id = ?",
+			[]types.Value{zs, zs, zi, types.Float(0), zi}},
+		{"DELETE FROM orders WHERE id = ?", []types.Value{zi}},
+	} {
+		static, err := e.Explain(c.text)
+		if err != nil {
+			t.Fatalf("%s: %v", c.text, err)
+		}
+		analyzed, _, err := e.ExplainAnalyzeCtx(context.Background(), nil, c.text, c.args...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.text, err)
+		}
+		if got := stripActuals(analyzed); got != strings.TrimRight(static, "\n") {
+			t.Errorf("%s: stats tree diverged from the plan:\n--- analyzed (stripped) ---\n%s\n--- static ---\n%s",
+				c.text, got, static)
+		}
+		for _, line := range strings.Split(strings.TrimRight(analyzed, "\n"), "\n") {
+			if stripActuals(line) == line && !strings.HasSuffix(line, "(shared)") {
+				t.Errorf("%s: plan line carries no annotation: %q", c.text, line)
+			}
+		}
+		if !strings.Contains(analyzed, " (actual: ") {
+			t.Errorf("%s: no operator reported actuals:\n%s", c.text, analyzed)
+		}
+	}
+}
+
 // stripActuals removes the (actual: ...) / (not executed) annotations
 // EXPLAIN ANALYZE appends, recovering the static plan shape.
 func stripActuals(plan string) string {
