@@ -83,12 +83,12 @@ e15-smoke:
 # SQL front-end gate under the race detector: the compiler's own
 # suite (parser round-trips, typed-AST checks, golden plan shapes,
 # morsel-parallel fusion counter), the wire-level SQL command and
-# SQL-vs-legacy differential tests, and the SQL-driven mixed workload
-# over the wire with its row-by-row oracle differential.
+# transaction tests, and the SQL mixed workload over the wire with its
+# row-by-row oracle differential and same-seed end-state check.
 sql-smoke:
 	$(GO) test -race -count 1 -timeout 180s ./internal/sql
 	$(GO) test -race -count 1 -timeout 120s \
-		-run 'TestSQLWireCommands|TestSQLWireTransactions|TestSQLLegacyDifferential|TestMixedBenchOverWireSQL|TestMixedSQLMatchesNative|TestMixedDeterministicEndState' \
+		-run 'TestSQLWireCommands|TestSQLWireTransactions|TestMixedBenchOverWire$$|TestMixedBenchOverWireSQL|TestMixedDeterministicEndState' \
 		./cmd/hanaserver
 
 # Query-lifecycle and network-chaos gate under the race detector: the

@@ -2,16 +2,13 @@
 // protocol: it forwards stdin lines and prints responses until the
 // terminating OK/ERR/END marker of each command.
 //
-// With -sql the prompt becomes a SQL shell: input lines are wrapped
-// as "SQL <line>" before sending, so plain statements work directly
+// A line whose first word is a protocol verb (BEGIN, COMMIT, PREPARE,
+// EXECUTE, EXPLAIN, SESSIONS, MERGE, STATS, QUIT, ...) is sent as
+// typed; any other line is a SQL statement and is sent as "SQL <line>",
+// so both of these work at the prompt:
 //
-//	sql> SELECT region, COUNT(*) FROM orders GROUP BY region
-//
-// while session verbs and observability commands (BEGIN, COMMIT,
-// ABORT, PREPARE, EXECUTE, DEALLOCATE, EXPLAIN, SLOWLOG, TRACE, QUIT,
-// ...) still pass through unwrapped — so `EXPLAIN ANALYZE SELECT ...`
-// works directly at the sql> prompt — and a leading backslash escapes
-// to any raw protocol command (e.g. `\STATS t`).
+//	hana> SELECT region, COUNT(*) FROM orders GROUP BY region
+//	hana> EXPLAIN ANALYZE SELECT region, COUNT(*) FROM orders GROUP BY region
 //
 // The connection is a reconnecting session: if the server goes away
 // mid-session, hanacli reports the loss, reconnects on the next
@@ -30,25 +27,16 @@ import (
 	"repro/internal/client"
 )
 
-// passthrough lists the commands a SQL-mode line may start with and
-// still be sent raw: they are session controls, not statements.
-var passthrough = []string{"BEGIN", "COMMIT", "ABORT", "PREPARE", "EXECUTE", "DEALLOCATE", "SAVEPOINT", "QUIT", "SESSIONS", "KILL", "SET", "EXPLAIN", "SLOWLOG", "TRACE"}
+// verbs lists the protocol commands; a line starting with any other
+// word is a SQL statement.
+var verbs = []string{"BEGIN", "COMMIT", "ABORT", "SAVEPOINT", "PREPARE", "EXECUTE", "DEALLOCATE",
+	"EXPLAIN", "SQL", "SESSIONS", "KILL", "SET", "METRICS", "TRACE", "SLOWLOG", "MERGE", "STATS", "QUIT"}
 
-// wireLine maps one input line to the protocol line to send. In SQL
-// mode, statements get the "SQL " prefix; session verbs and
-// backslash-escaped raw commands pass through.
-func wireLine(line string, sqlMode bool) string {
-	if !sqlMode {
-		return line
-	}
-	if strings.HasPrefix(line, "\\") {
-		return strings.TrimSpace(line[1:])
-	}
-	first := line
-	if i := strings.IndexAny(line, " \t"); i >= 0 {
-		first = line[:i]
-	}
-	for _, kw := range passthrough {
+// wireLine maps one input line to the protocol line to send: protocol
+// commands pass through, statements get the "SQL " prefix.
+func wireLine(line string) string {
+	first, _ := cutWord(line)
+	for _, kw := range verbs {
 		if strings.EqualFold(first, kw) {
 			return line
 		}
@@ -58,7 +46,6 @@ func wireLine(line string, sqlMode bool) string {
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7654", "server address")
-	sqlMode := flag.Bool("sql", false, "SQL shell: send lines as SQL statements (\\<cmd> for raw protocol)")
 	retries := flag.Int("retries", 8, "reconnect attempts per command (-1 = unlimited)")
 	flag.Parse()
 
@@ -74,17 +61,11 @@ func main() {
 		os.Exit(1)
 	}
 	defer c.Close()
-	prompt := "hana> "
-	if *sqlMode {
-		prompt = "sql> "
-		fmt.Printf("connected to %s — SQL shell (QUIT to exit, \\<cmd> for raw protocol)\n", *addr)
-	} else {
-		fmt.Printf("connected to %s — type commands (QUIT to exit)\n", *addr)
-	}
+	fmt.Printf("connected to %s — type SQL statements or protocol commands (QUIT to exit)\n", *addr)
 
 	in := bufio.NewScanner(os.Stdin)
 	for {
-		fmt.Print(prompt)
+		fmt.Print("hana> ")
 		if !in.Scan() {
 			return
 		}
@@ -92,7 +73,7 @@ func main() {
 		if line == "" {
 			continue
 		}
-		wire := wireLine(line, *sqlMode)
+		wire := wireLine(line)
 		if strings.EqualFold(wire, "QUIT") {
 			fmt.Println("OK bye")
 			return
@@ -127,28 +108,20 @@ func main() {
 
 // cutPrepare splits "PREPARE <name> <stmt>" into its parts.
 func cutPrepare(wire string) (name, text string, ok bool) {
-	rest, isPrep := cutKeyword(wire, "PREPARE")
-	if !isPrep {
+	first, rest := cutWord(wire)
+	if !strings.EqualFold(first, "PREPARE") {
 		return "", "", false
 	}
-	name, text, _ = strings.Cut(rest, " ")
-	text = strings.TrimSpace(text)
-	if name == "" || text == "" {
-		return "", "", false
-	}
-	return name, text, true
+	name, text = cutWord(rest)
+	return name, text, name != "" && text != ""
 }
 
-// cutKeyword reports whether line starts with the keyword (case-
-// insensitive, followed by whitespace or end of line) and returns the
-// trimmed remainder.
-func cutKeyword(line, kw string) (string, bool) {
-	if len(line) < len(kw) || !strings.EqualFold(line[:len(kw)], kw) {
-		return "", false
+// cutWord splits s at its first space or tab into the leading word and
+// the trimmed remainder.
+func cutWord(s string) (word, rest string) {
+	i := strings.IndexAny(s, " \t")
+	if i < 0 {
+		return s, ""
 	}
-	rest := line[len(kw):]
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return "", false
-	}
-	return strings.TrimSpace(rest), true
+	return s[:i], strings.TrimSpace(s[i+1:])
 }

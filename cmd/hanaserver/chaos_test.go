@@ -51,7 +51,7 @@ func TestChaosWireBench(t *testing.T) {
 			// Any op abandoned at the transport fails the run: with
 			// unlimited retries every op must reach an answer.
 			d := drive(t, driveConfig{
-				addr: ln.Addr().String(), table: fmt.Sprintf("chaos_%d", seed), verbs: sqlVerbs,
+				addr: ln.Addr().String(), table: fmt.Sprintf("chaos_%d", seed),
 				writers: 2, ops: 55, preload: 150, seed: seed,
 				mix:        workload.Mix{InsertPct: 20, UpdatePct: 25, DeletePct: 5},
 				dial:       netfault.Dialer(plan, nil),

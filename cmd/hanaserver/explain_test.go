@@ -101,8 +101,8 @@ func TestWireKilledStatementSpans(t *testing.T) {
 	killer, killerSc := dialLine(t, addr)
 	defer killer.Close()
 
-	roundTripLine(t, victim, victimSc, "COUNT orders")
-	roundTripLine(t, killer, killerSc, "COUNT orders")
+	roundTripLine(t, victim, victimSc, "SQL SELECT COUNT(*) FROM orders")
+	roundTripLine(t, killer, killerSc, "SQL SELECT COUNT(*) FROM orders")
 
 	if _, err := fmt.Fprintln(victim, slowQuery); err != nil {
 		t.Fatal(err)
@@ -222,10 +222,10 @@ func TestWireSlowLog(t *testing.T) {
 // table's lifecycle events, composable with a count bound.
 func TestWireTraceTableFilter(t *testing.T) {
 	c := newObsClient(t)
-	c.expectOK("CREATE a id:int v:varchar KEY 0")
-	c.expectOK("CREATE b id:int v:varchar KEY 0")
-	c.expectOK("INSERT a 1 'x'")
-	c.expectOK("INSERT b 2 'y'")
+	c.expectOK("SQL CREATE TABLE a (id INT PRIMARY KEY, v VARCHAR)")
+	c.expectOK("SQL CREATE TABLE b (id INT PRIMARY KEY, v VARCHAR)")
+	c.expectOK("SQL INSERT INTO a VALUES (1, 'x')")
+	c.expectOK("SQL INSERT INTO b VALUES (2, 'y')")
 	c.expectOK("MERGE a")
 	c.expectOK("MERGE b")
 

@@ -203,8 +203,8 @@ func TestWireKillMidStatement(t *testing.T) {
 	defer killer.Close()
 
 	// Nudge both sessions into existence (and learn nothing else).
-	roundTripLine(t, victim, victimSc, "COUNT orders")
-	roundTripLine(t, killer, killerSc, "COUNT orders")
+	roundTripLine(t, victim, victimSc, "SQL SELECT COUNT(*) FROM orders")
+	roundTripLine(t, killer, killerSc, "SQL SELECT COUNT(*) FROM orders")
 
 	// Fire the heavy statement without reading its response yet.
 	if _, err := fmt.Fprintln(victim, slowQuery); err != nil {
@@ -241,7 +241,7 @@ func TestWireKillMidStatement(t *testing.T) {
 		t.Fatalf("victim response = %q, want ERR ...killed", last)
 	}
 	// And the session is gone: the next read hits a closed connection.
-	fmt.Fprintln(victim, "COUNT orders")
+	fmt.Fprintln(victim, "SQL SELECT COUNT(*) FROM orders")
 	if victimSc.Scan() {
 		t.Fatalf("killed session answered again: %q", victimSc.Text())
 	}
@@ -261,8 +261,8 @@ func TestWireKillKernelStatement(t *testing.T) {
 	defer victim.Close()
 	killer, killerSc := dialLine(t, addr)
 	defer killer.Close()
-	roundTripLine(t, victim, victimSc, "COUNT orders")
-	roundTripLine(t, killer, killerSc, "COUNT orders")
+	roundTripLine(t, victim, victimSc, "SQL SELECT COUNT(*) FROM orders")
+	roundTripLine(t, killer, killerSc, "SQL SELECT COUNT(*) FROM orders")
 
 	const pipelined = 20
 	if _, err := fmt.Fprint(victim, strings.Repeat(kernelQuery+"\n", pipelined)); err != nil {
@@ -347,12 +347,12 @@ func TestTornLineNotExecuted(t *testing.T) {
 	defer check.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		got := roundTripLine(t, check, sc, "COUNT orders")
-		if got[0] == "OK 1" {
+		got := roundTripLine(t, check, sc, "SQL SELECT COUNT(*) FROM orders")
+		if got[0] == "ROW 1" {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("COUNT = %v, want exactly the terminated insert (OK 1)", got)
+			t.Fatalf("COUNT(*) = %v, want exactly the terminated insert (ROW 1)", got)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -4,17 +4,12 @@
 // connection is a session with an optional open transaction
 // (autocommit otherwise).
 //
-// Protocol (one command per line, fields separated by spaces; VARCHAR
-// values use single quotes):
+// Rows are read and written only through SQL (see below); the other
+// commands merge and inspect tables, control the session and its
+// transaction, and expose observability. Protocol (one command per
+// line, fields separated by spaces or tabs; VARCHAR values use single
+// quotes):
 //
-//	CREATE <table> <name:kind[:null]>... KEY <ordinal>
-//	INSERT <table> <v1> <v2> ...
-//	GET <table> <key>
-//	UPDATE <table> <key> <v1> <v2> ...
-//	DELETE <table> <key>
-//	COUNT <table>
-//	SCAN <table> [<limit>]
-//	AGG <table> <groupCol> <sumCol>
 //	MERGE <table>
 //	STATS <table>
 //	METRICS [<table>]
@@ -107,8 +102,8 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 5*time.Minute, "per-connection idle read deadline (0 = none)")
 	writeTimeout := flag.Duration("write-timeout", 10*time.Second, "per-response write deadline (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown wait for in-flight commands")
-	throttleRows := flag.Int("throttle-rows", 0, "delta-backlog high-watermark applied to CREATEd tables: writes beyond it are delayed (0 = off)")
-	overloadRows := flag.Int("overload-rows", 0, "delta-backlog ceiling applied to CREATEd tables: writes beyond it get ERR overloaded (0 = off)")
+	throttleRows := flag.Int("throttle-rows", 0, "delta-backlog high-watermark applied to tables created through SQL: writes beyond it are delayed (0 = off)")
+	overloadRows := flag.Int("overload-rows", 0, "delta-backlog ceiling applied to tables created through SQL: writes beyond it get ERR overloaded (0 = off)")
 	obsAddr := flag.String("obs-addr", "", "HTTP listen address serving /metrics and /debug/pprof/ (empty = disabled)")
 	stmtTimeout := flag.Duration("stmt-timeout", 0, "wall-clock budget per SQL statement; exceeding it returns ERR statement timeout (0 = none)")
 	memBudget := flag.Int64("mem-budget", 0, "memory budget in bytes per SQL statement, charged against hash builds, aggregation state, and decode caches (0 = unlimited)")
@@ -223,7 +218,7 @@ type serverOptions struct {
 	// before force-closing the remaining connections.
 	drainTimeout time.Duration
 	// throttleRows/overloadRows seed TableConfig admission-control
-	// watermarks for tables created over the wire.
+	// watermarks for tables created through SQL.
 	throttleRows, overloadRows int
 	// stmtTimeout/memBudget are the server-wide per-statement
 	// execution budgets installed on the shared SQL engine.
@@ -268,9 +263,9 @@ func newServer(db *hana.DB, ln net.Listener, opts serverOptions) *server {
 	return s
 }
 
-// newSQLEngine builds the session-shared SQL engine; tables created
-// via SQL get the same physical defaults as wire-CREATEd ones, and
-// the server-wide statement budgets are installed here.
+// newSQLEngine builds the session-shared SQL engine. It fixes the
+// physical defaults and admission watermarks of every table created
+// over the wire, and installs the server-wide statement budgets.
 func newSQLEngine(db *hana.DB, opts serverOptions) *hana.SQLEngine {
 	eng := hana.NewSQLEngine(db, hana.TableConfig{
 		CheckUnique: true, Compress: true, CompactDicts: true,
@@ -408,9 +403,6 @@ type session struct {
 	txn *hana.Txn
 	// prepared holds this session's named PREPAREd statements.
 	prepared map[string]*hana.SQLPrepared
-	// throttleRows/overloadRows seed the admission-control watermarks
-	// of tables this session CREATEs.
-	throttleRows, overloadRows int
 	// entry is this session's registry record; its context is
 	// cancelled by KILL and threads through every statement.
 	entry *sessionEntry
@@ -441,13 +433,11 @@ func (s *server) serveConn(conn net.Conn) {
 	entry := s.reg.add(conn)
 	defer s.reg.remove(entry.id)
 	sess := &session{
-		db:           s.db,
-		eng:          s.sqlEng,
-		throttleRows: s.opts.throttleRows,
-		overloadRows: s.opts.overloadRows,
-		entry:        entry,
-		reg:          s.reg,
-		met:          s.met,
+		db:    s.db,
+		eng:   s.sqlEng,
+		entry: entry,
+		reg:   s.reg,
+		met:   s.met,
 	}
 	defer func() {
 		if sess.txn != nil {
@@ -514,31 +504,6 @@ func (s *server) serveConn(conn net.Conn) {
 			log.Printf("hanaserver: read: %v", err)
 		}
 	}
-}
-
-// tx returns the session transaction, or a fresh autocommit one.
-func (s *session) tx() (*hana.Txn, bool) {
-	if s.txn != nil {
-		return s.txn, false
-	}
-	return s.db.Begin(hana.TxnSnapshot), true
-}
-
-func (s *session) finish(w *bufio.Writer, tx *hana.Txn, auto bool, err error) {
-	if err != nil {
-		if auto {
-			s.db.Abort(tx)
-		}
-		fmt.Fprintf(w, "ERR %v\n", err)
-		return
-	}
-	if auto {
-		if err := s.db.Commit(tx); err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return
-		}
-	}
-	fmt.Fprintln(w, "OK")
 }
 
 func (s *session) handle(w *bufio.Writer, line string) {
@@ -702,9 +667,7 @@ func (s *session) handle(w *bufio.Writer, line string) {
 			}
 		}
 		fmt.Fprintln(w, "END")
-	case "CREATE":
-		s.create(w, args)
-	case "INSERT", "GET", "UPDATE", "DELETE", "COUNT", "SCAN", "AGG", "MERGE", "STATS":
+	case "MERGE", "STATS":
 		if len(args) < 1 {
 			fmt.Fprintln(w, "ERR missing table")
 			return
@@ -714,202 +677,13 @@ func (s *session) handle(w *bufio.Writer, line string) {
 			fmt.Fprintf(w, "ERR no table %q\n", args[0])
 			return
 		}
-		s.table(w, cmd, t, args[1:])
-	default:
-		fmt.Fprintf(w, "ERR unknown command %q\n", cmd)
-	}
-}
-
-func (s *session) create(w *bufio.Writer, args []string) {
-	if len(args) < 4 {
-		fmt.Fprintln(w, "ERR usage: CREATE <table> <name:kind>... KEY <ordinal>")
-		return
-	}
-	name := args[0]
-	var cols []hana.Column
-	key := -1
-	i := 1
-	for ; i < len(args); i++ {
-		if strings.EqualFold(args[i], "KEY") {
-			if i+1 >= len(args) {
-				fmt.Fprintln(w, "ERR KEY needs an ordinal")
-				return
-			}
-			k, err := strconv.Atoi(args[i+1])
-			if err != nil {
-				fmt.Fprintf(w, "ERR %v\n", err)
-				return
-			}
-			key = k
-			break
-		}
-		parts := strings.Split(args[i], ":")
-		col := hana.Column{Name: parts[0]}
-		if len(parts) > 1 {
-			switch strings.ToUpper(parts[1]) {
-			case "BIGINT", "INT":
-				col.Kind = hana.Int64
-			case "DOUBLE", "FLOAT":
-				col.Kind = hana.Float64
-			case "VARCHAR", "STRING":
-				col.Kind = hana.String
-			case "DATE":
-				col.Kind = hana.DateKind
-			case "BOOL", "BOOLEAN":
-				col.Kind = hana.BoolKind
-			default:
-				fmt.Fprintf(w, "ERR unknown kind %q\n", parts[1])
-				return
-			}
-		}
-		col.Nullable = len(parts) > 2 && strings.EqualFold(parts[2], "null")
-		cols = append(cols, col)
-	}
-	schema, err := hana.NewSchema(cols, key)
-	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-		return
-	}
-	if _, err := s.db.CreateTable(hana.TableConfig{
-		Name: name, Schema: schema, CheckUnique: key >= 0,
-		Compress: true, CompactDicts: true,
-		ThrottleRows: s.throttleRows, OverloadRows: s.overloadRows,
-	}); err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-		return
-	}
-	fmt.Fprintln(w, "OK")
-}
-
-func (s *session) table(w *bufio.Writer, cmd string, t *hana.Table, args []string) {
-	schema := t.Schema()
-	switch cmd {
-	case "INSERT":
-		row, err := parseRow(schema, args)
-		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
+		if cmd == "STATS" {
+			// The line is generated from TableStats by reflection
+			// (WireString), so new stats fields reach the wire without a
+			// second hand-maintained field list.
+			fmt.Fprintf(w, "OK %s\n", t.Stats().WireString())
 			return
 		}
-		tx, auto := s.tx()
-		_, err = t.Insert(tx, row)
-		s.finish(w, tx, auto, err)
-	case "UPDATE":
-		if len(args) < 1 {
-			fmt.Fprintln(w, "ERR usage: UPDATE <table> <key> <values...>")
-			return
-		}
-		key, err := parseValue(schema.Columns[schema.Key].Kind, args[0])
-		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return
-		}
-		row, err := parseRow(schema, args[1:])
-		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return
-		}
-		tx, auto := s.tx()
-		_, err = t.UpdateKey(tx, key, row)
-		s.finish(w, tx, auto, err)
-	case "DELETE":
-		if len(args) != 1 {
-			fmt.Fprintln(w, "ERR usage: DELETE <table> <key>")
-			return
-		}
-		key, err := parseValue(schema.Columns[schema.Key].Kind, args[0])
-		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return
-		}
-		tx, auto := s.tx()
-		n, err := t.DeleteKey(tx, key)
-		if err == nil && n == 0 {
-			err = fmt.Errorf("key %s not found", args[0])
-		}
-		s.finish(w, tx, auto, err)
-	case "GET":
-		if len(args) != 1 {
-			fmt.Fprintln(w, "ERR usage: GET <table> <key>")
-			return
-		}
-		key, err := parseValue(schema.Columns[schema.Key].Kind, args[0])
-		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return
-		}
-		v := t.View(s.txn)
-		m := v.Get(key)
-		v.Close()
-		if m == nil {
-			fmt.Fprintln(w, "END")
-			return
-		}
-		fmt.Fprintln(w, renderRow(m.Row))
-		fmt.Fprintln(w, "END")
-	case "COUNT":
-		v := t.View(s.txn)
-		n := v.Count()
-		v.Close()
-		fmt.Fprintf(w, "OK %d\n", n)
-	case "SCAN":
-		limit := 100
-		if len(args) > 0 {
-			if n, err := strconv.Atoi(args[0]); err == nil {
-				limit = n
-			}
-		}
-		// Vectorized streaming scan with the render limit pushed down:
-		// once satisfied, BatchLimit stops pulling and the table scan
-		// never decodes the rest. The session's kill context stops the
-		// scan between batches.
-		ctx := s.entry.ctx
-		it := &hana.BatchLimit{N: limit, In: &hana.BatchTableScan{Table: t, Txn: s.txn, Ctx: ctx}}
-		if err := it.Open(); err != nil {
-			fmt.Fprintf(w, "ERR %v\n", mapCtxErr(ctx, err))
-			return
-		}
-		var buf []hana.Value
-		for {
-			b, err := it.Next()
-			if err != nil {
-				it.Close()
-				fmt.Fprintf(w, "ERR %v\n", mapCtxErr(ctx, err))
-				return
-			}
-			if b == nil {
-				break
-			}
-			for i := 0; i < b.Rows(); i++ {
-				buf = b.RowAt(i, buf)
-				fmt.Fprintln(w, renderRow(buf))
-			}
-		}
-		it.Close()
-		fmt.Fprintln(w, "END")
-	case "AGG":
-		if len(args) != 2 {
-			fmt.Fprintln(w, "ERR usage: AGG <table> <groupCol> <sumCol>")
-			return
-		}
-		gc, err1 := strconv.Atoi(args[0])
-		sc, err2 := strconv.Atoi(args[1])
-		if err1 != nil || err2 != nil {
-			fmt.Fprintln(w, "ERR column ordinals must be integers")
-			return
-		}
-		g := hana.NewGraph()
-		agg := g.Aggregate(g.Table(t), []int{gc},
-			hana.Agg{Func: hana.Count}, hana.Agg{Func: hana.Sum, Col: sc})
-		rows, err := hana.ExecuteGraph(g, agg, hana.Env{Txn: s.txn, Ctx: s.entry.ctx})
-		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", mapCtxErr(s.entry.ctx, err))
-			return
-		}
-		for _, r := range rows {
-			fmt.Fprintln(w, renderRow(r))
-		}
-		fmt.Fprintln(w, "END")
-	case "MERGE":
 		if _, err := t.MergeL1(); err != nil {
 			fmt.Fprintf(w, "ERR %v\n", err)
 			return
@@ -919,11 +693,8 @@ func (s *session) table(w *bufio.Writer, cmd string, t *hana.Table, args []strin
 			return
 		}
 		fmt.Fprintln(w, "OK")
-	case "STATS":
-		// The line is generated from TableStats by reflection
-		// (WireString), so new stats fields reach the wire without a
-		// second hand-maintained field list.
-		fmt.Fprintf(w, "OK %s\n", t.Stats().WireString())
+	default:
+		fmt.Fprintf(w, "ERR unknown command %q\n", cmd)
 	}
 }
 
@@ -1102,8 +873,7 @@ func writeSQLResult(w *bufio.Writer, res *hana.SQLResult) {
 }
 
 func (s *session) sqlPrepare(w *bufio.Writer, rest string) {
-	name, text, _ := strings.Cut(rest, " ")
-	text = strings.TrimSpace(text)
+	name, text := cutWord(rest)
 	if name == "" || text == "" {
 		fmt.Fprintln(w, "ERR usage: PREPARE <name> <statement>")
 		return
@@ -1142,8 +912,7 @@ func (s *session) sqlExecute(w *bufio.Writer, rest string) {
 	}
 	params := make([]hana.Value, len(kinds))
 	for i, tok := range fields[1:] {
-		// Wire parameters parse per the statement's inferred kinds,
-		// with the same value syntax as the legacy verbs.
+		// Wire parameters parse per the statement's inferred kinds.
 		v, err := parseValue(kinds[i], tok)
 		if err != nil {
 			fmt.Fprintf(w, "ERR parameter %d: %v\n", i+1, err)
@@ -1174,7 +943,18 @@ func (s *session) sqlDeallocate(w *bufio.Writer, name string) {
 	fmt.Fprintln(w, "OK")
 }
 
-// tokenize splits a command line, honoring single-quoted strings.
+// cutWord splits s at its first space or tab into the leading word and
+// the trimmed remainder.
+func cutWord(s string) (word, rest string) {
+	i := strings.IndexAny(s, " \t")
+	if i < 0 {
+		return s, ""
+	}
+	return s[:i], strings.TrimSpace(s[i+1:])
+}
+
+// tokenize splits a command line at spaces and tabs, honoring
+// single-quoted strings.
 func tokenize(line string) ([]string, error) {
 	var out []string
 	var cur strings.Builder
@@ -1197,7 +977,7 @@ func tokenize(line string) ([]string, error) {
 				flush()
 				inQuote = true
 			}
-		case c == ' ' && !inQuote:
+		case (c == ' ' || c == '\t') && !inQuote:
 			flush()
 		default:
 			cur.WriteByte(c)
@@ -1213,22 +993,9 @@ func tokenize(line string) ([]string, error) {
 	return out, nil
 }
 
-// parseRow parses typed values; quoted tokens carry a leading '.
-func parseRow(schema *hana.Schema, args []string) ([]hana.Value, error) {
-	if len(args) != len(schema.Columns) {
-		return nil, fmt.Errorf("want %d values, got %d", len(schema.Columns), len(args))
-	}
-	row := make([]hana.Value, len(args))
-	for i, a := range args {
-		v, err := parseValue(schema.Columns[i].Kind, a)
-		if err != nil {
-			return nil, err
-		}
-		row[i] = v
-	}
-	return row, nil
-}
-
+// parseValue parses one EXECUTE parameter of the given kind: the bare
+// word NULL is NULL, and a quoted token carries the leading ' that
+// tokenize keeps.
 func parseValue(kind hana.Kind, tok string) (hana.Value, error) {
 	if tok == "NULL" {
 		return hana.Null, nil
@@ -1251,12 +1018,4 @@ func parseValue(kind hana.Kind, tok string) (hana.Value, error) {
 		return hana.Bool(b), err
 	}
 	return hana.Null, fmt.Errorf("unsupported kind")
-}
-
-func renderRow(row []hana.Value) string {
-	parts := make([]string, len(row))
-	for i, v := range row {
-		parts[i] = v.String()
-	}
-	return "ROW " + strings.Join(parts, "\t")
 }

@@ -57,25 +57,24 @@ func (c *client) expectOK(cmd string) string {
 
 func TestProtocolEndToEnd(t *testing.T) {
 	c := newClient(t)
-	c.expectOK("CREATE orders id:int customer:varchar amount:double KEY 0")
-	c.expectOK("INSERT orders 1 'Acme Corp' 9.99")
-	c.expectOK("INSERT orders 2 'Bolt Ltd' 5.00")
+	c.expectOK("SQL CREATE TABLE orders (id INT PRIMARY KEY, customer VARCHAR NOT NULL, amount DOUBLE NOT NULL)")
+	c.expectOK("SQL INSERT INTO orders VALUES (1, 'Acme Corp', 9.99)")
+	c.expectOK("SQL INSERT INTO orders VALUES (2, 'Bolt Ltd', 5.00)")
 
-	out := c.send("GET orders 1")
-	if len(out) != 2 || !strings.Contains(out[0], "Acme Corp") {
-		t.Fatalf("GET → %v", out)
+	if rows := c.rows("SQL SELECT * FROM orders WHERE id = 1"); len(rows) != 1 || rows[0] != "ROW 1 'Acme Corp' 9.99" {
+		t.Fatalf("point read → %v", rows)
 	}
-	if got := c.expectOK("COUNT orders"); got != "OK 2" {
-		t.Fatalf("COUNT → %q", got)
+	if got := c.count("orders"); got != "ROW 2" {
+		t.Fatalf("COUNT(*) → %q", got)
 	}
-	out = c.send("SCAN orders")
-	if len(out) != 3 { // 2 rows + END
-		t.Fatalf("SCAN → %v", out)
+	if rows := c.rows("SQL SELECT * FROM orders"); len(rows) != 2 {
+		t.Fatalf("SELECT * → %v", rows)
 	}
-	c.expectOK("UPDATE orders 1 1 'Acme Corp' 19.99")
-	out = c.send("GET orders 1")
-	if !strings.Contains(out[0], "19.99") {
-		t.Fatalf("after update: %v", out)
+	if got := c.expectOK("SQL UPDATE orders SET amount = 19.99 WHERE id = 1"); got != "OK 1" {
+		t.Fatalf("UPDATE → %q", got)
+	}
+	if rows := c.rows("SQL SELECT amount FROM orders WHERE id = 1"); len(rows) != 1 || rows[0] != "ROW 19.99" {
+		t.Fatalf("after update: %v", rows)
 	}
 	c.expectOK("MERGE orders")
 	stats := c.expectOK("STATS orders")
@@ -85,77 +84,92 @@ func TestProtocolEndToEnd(t *testing.T) {
 	if !strings.Contains(stats, "mergefailures=0") || !strings.Contains(stats, `lasterr=""`) {
 		t.Fatalf("STATS missing merge-error surface → %q", stats)
 	}
-	c.expectOK("DELETE orders 2")
-	if got := c.expectOK("COUNT orders"); got != "OK 1" {
-		t.Fatalf("COUNT after delete → %q", got)
+	if got := c.expectOK("SQL DELETE FROM orders WHERE id = 2"); got != "OK 1" {
+		t.Fatalf("DELETE → %q", got)
 	}
-	out = c.send("AGG orders 1 2")
-	if len(out) != 2 || !strings.Contains(out[0], "Acme Corp") {
-		t.Fatalf("AGG → %v", out)
+	if got := c.count("orders"); got != "ROW 1" {
+		t.Fatalf("COUNT(*) after delete → %q", got)
+	}
+	rows := c.rows("SQL SELECT customer, COUNT(*), SUM(amount) FROM orders GROUP BY customer")
+	if len(rows) != 1 || rows[0] != "ROW 'Acme Corp' 1 19.99" {
+		t.Fatalf("GROUP BY → %v", rows)
 	}
 }
 
 func TestProtocolTransactions(t *testing.T) {
 	c := newClient(t)
-	c.expectOK("CREATE t id:int v:varchar KEY 0")
+	c.expectOK("SQL CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR)")
 	c.expectOK("BEGIN")
-	c.expectOK("INSERT t 1 'pending'")
+	c.expectOK("SQL INSERT INTO t VALUES (1, 'pending')")
 	// Uncommitted row visible inside the transaction…
-	if got := c.expectOK("COUNT t"); got != "OK 1" {
-		t.Fatalf("in-txn COUNT → %q", got)
+	if got := c.count("t"); got != "ROW 1" {
+		t.Fatalf("in-txn COUNT(*) → %q", got)
 	}
 	c.expectOK("ABORT")
-	if got := c.expectOK("COUNT t"); got != "OK 0" {
-		t.Fatalf("post-abort COUNT → %q", got)
+	if got := c.count("t"); got != "ROW 0" {
+		t.Fatalf("post-abort COUNT(*) → %q", got)
 	}
 	c.expectOK("BEGIN")
-	c.expectOK("INSERT t 2 'kept'")
+	c.expectOK("SQL INSERT INTO t VALUES (2, 'kept')")
 	c.expectOK("COMMIT")
-	if got := c.expectOK("COUNT t"); got != "OK 1" {
-		t.Fatalf("post-commit COUNT → %q", got)
+	if got := c.count("t"); got != "ROW 1" {
+		t.Fatalf("post-commit COUNT(*) → %q", got)
 	}
 }
 
 func TestProtocolErrors(t *testing.T) {
 	c := newClient(t)
-	cases := []string{
-		"NOSUCH",
-		"GET missing 1",
-		"CREATE",
-		"COMMIT",
-		"INSERT",
+	for _, cmd := range []string{"NOSUCH", "COMMIT", "SQL"} {
+		c.expectErr(cmd)
 	}
-	for _, cmd := range cases {
-		out := c.send(cmd)
-		if !strings.HasPrefix(out[len(out)-1], "ERR") {
-			t.Errorf("%q → %v, want ERR", cmd, out)
+	c.expectOK("SQL CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR)")
+	c.expectOK("SQL INSERT INTO t VALUES (1, 'x')")
+	// The legacy line verbs are gone: rows travel only as SQL.
+	for _, cmd := range []string{
+		"INSERT t 1", "GET t 1", "UPDATE t 1 1 'y'", "DELETE t 1", "COUNT t",
+		"SCAN t", "AGG t 0 1", "CREATE t id:int KEY 0", "INSERT",
+	} {
+		if got := c.expectErr(cmd); !strings.HasPrefix(got, "ERR unknown command") {
+			t.Errorf("%q → %q, want ERR unknown command", cmd, got)
 		}
 	}
-	c.expectOK("CREATE t id:int v:varchar KEY 0")
-	c.expectOK("INSERT t 1 'x'")
-	out := c.send("INSERT t 1 'dup'")
-	if !strings.HasPrefix(out[0], "ERR") || !strings.Contains(out[0], "duplicate") {
-		t.Errorf("duplicate insert → %v", out)
+	if got := c.expectErr("SQL INSERT INTO t VALUES (1, 'dup')"); !strings.Contains(got, "duplicate") {
+		t.Errorf("duplicate insert → %q", got)
 	}
-	out = c.send("INSERT t notanint 'x'")
-	if !strings.HasPrefix(out[0], "ERR") {
-		t.Errorf("bad int → %v", out)
+	c.expectErr("SQL INSERT INTO t VALUES ('notanint', 'x')")
+	c.expectOK("PREPARE ins INSERT INTO t VALUES (?, ?)")
+	c.expectErr("EXECUTE ins notanint 'x'")
+	if got := c.expectErr("EXECUTE ins 2 'unterminated"); !strings.Contains(got, "unterminated quote") {
+		t.Errorf("unterminated quote → %q", got)
 	}
-	out = c.send("INSERT t 2 'unterminated")
-	if !strings.HasPrefix(out[0], "ERR") {
-		t.Errorf("unterminated quote → %v", out)
+	if rows := c.rows("SQL SELECT * FROM t"); len(rows) != 1 || rows[0] != "ROW 1 x" {
+		t.Fatalf("failed commands changed the table: %v", rows)
 	}
 }
 
 func TestTokenize(t *testing.T) {
-	toks, err := tokenize("INSERT t 1 'two words' 3")
-	if err != nil || len(toks) != 5 || toks[3] != "'two words" {
-		t.Fatalf("toks=%v err=%v", toks, err)
+	cases := []struct {
+		line string
+		want []string
+	}{
+		{"EXECUTE ins 1 'two words' 3", []string{"EXECUTE", "ins", "1", "'two words", "3"}},
+		{"EXECUTE ins\t10\t'x'", []string{"EXECUTE", "ins", "10", "'x"}},
+		{"KILL\t99", []string{"KILL", "99"}},
+		{"EXECUTE p 'tab\tinside' NULL", []string{"EXECUTE", "p", "'tab\tinside", "NULL"}},
+		{" \t SESSIONS \t", []string{"SESSIONS"}},
+	}
+	for _, tc := range cases {
+		toks, err := tokenize(tc.line)
+		if err != nil || fmt.Sprintf("%q", toks) != fmt.Sprintf("%q", tc.want) {
+			t.Errorf("tokenize(%q) = %q, %v; want %q", tc.line, toks, err, tc.want)
+		}
 	}
 	if _, err := tokenize("'open"); err == nil {
 		t.Error("unterminated quote accepted")
 	}
-	if _, err := tokenize("   "); err == nil {
-		t.Error("empty command accepted")
+	for _, blank := range []string{"   ", "\t \t"} {
+		if _, err := tokenize(blank); err == nil {
+			t.Errorf("empty command %q accepted", blank)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/types"
@@ -12,9 +13,9 @@ import (
 
 // mixedConfig is the over-the-wire mixed workload: three writers at
 // 50% writes and one analyst against a live-merging server.
-func mixedConfig(addr, table string, verbs func(string) verbSet) driveConfig {
+func mixedConfig(addr, table string) driveConfig {
 	return driveConfig{
-		addr: addr, table: table, verbs: verbs,
+		addr: addr, table: table,
 		writers: 3, ops: 150, preload: 400, seed: 7,
 		mix: workload.Mix{InsertPct: 20, UpdatePct: 25, DeletePct: 5},
 	}
@@ -35,13 +36,34 @@ func statsCounter(t *testing.T, d *driver, field string) uint64 {
 	return n
 }
 
-// TestMixedBenchOverWire runs the mixed workload through the legacy
-// line verbs: concurrent OLTP sessions and an analyst whose scans and
-// merges interleave with the writes, then a row-by-row check of the
-// table against the writers' oracles.
+// metricValue reads one unlabelled series from the server's METRICS dump.
+func metricValue(t *testing.T, d *driver, name string) uint64 {
+	t.Helper()
+	lines, err := query(d.ctl, "METRICS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range lines {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("METRICS %s: %v", name, err)
+			}
+			return uint64(n)
+		}
+	}
+	t.Fatalf("METRICS has no %s", name)
+	return 0
+}
+
+// TestMixedBenchOverWire runs the mixed workload with every operation
+// travelling as SQL (PREPARE/EXECUTE against the server's plan cache):
+// concurrent OLTP sessions and an analyst whose scans and merges
+// interleave with the writes, then a row-by-row check of the table
+// against the writers' oracles.
 func TestMixedBenchOverWire(t *testing.T) {
 	addr, _, _ := lifecycleServer(t, 0, serverOptions{maxConns: 64})
-	d := drive(t, mixedConfig(addr, "mixed_lines", lineVerbs))
+	d := drive(t, mixedConfig(addr, "mixed"))
 	if _, err := d.verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +75,28 @@ func TestMixedBenchOverWire(t *testing.T) {
 	}
 }
 
-// TestMixedBenchOverWireSQL is the same workload with every operation
-// travelling as SQL (PREPARE/EXECUTE against the server's plan cache),
-// checked row by row against the writers' oracles.
+// TestMixedBenchOverWireSQL runs the same workload and checks that its
+// SQL shares the server's plan cache: each statement text compiles once
+// for all sessions, so the writers' and the analyst's PREPAREs after the
+// first session and every repeat of the analyst's scan are cache hits,
+// and the misses stay at the number of distinct statements whatever
+// the number of sessions or scans.
 func TestMixedBenchOverWireSQL(t *testing.T) {
 	addr, _, _ := lifecycleServer(t, 0, serverOptions{maxConns: 64})
-	d := drive(t, mixedConfig(addr, "mixed_sql", sqlVerbs))
+	cfg := mixedConfig(addr, "mixed_sql")
+	d := drive(t, cfg)
+	hits := metricValue(t, d, "hana_sql_plan_cache_hits_total")
+	misses := metricValue(t, d, "hana_sql_plan_cache_misses_total")
+	// Distinct texts: CREATE TABLE, the preload INSERT, the four
+	// prepared statements and the analyst's GROUP BY.
+	const distinct = 7
+	if misses > distinct {
+		t.Errorf("plan cache misses = %d, want at most %d (one per distinct statement)", misses, distinct)
+	}
+	sessions := uint64(cfg.writers + 1) // each prepares the same four statements
+	if want := (sessions-1)*4 + uint64(d.scans-1); hits < want {
+		t.Errorf("plan cache hits = %d after %d sessions and %d scans, want at least %d", hits, sessions, d.scans, want)
+	}
 	if _, err := d.verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,15 +105,15 @@ func TestMixedBenchOverWireSQL(t *testing.T) {
 	}
 }
 
-// TestMixedDeterministicEndState runs the same seeded SQL workload
+// TestMixedDeterministicEndState runs the same seeded workload
 // twice into two tables: the committed end state and each writer's
 // acknowledged-write count depend on the seed alone, not on how the
 // sessions and the analyst's merges interleave. This is what lets a
 // concurrent run double as a correctness test.
 func TestMixedDeterministicEndState(t *testing.T) {
 	addr, _, _ := lifecycleServer(t, 0, serverOptions{maxConns: 64})
-	a := drive(t, mixedConfig(addr, "mixed_det_a", sqlVerbs))
-	b := drive(t, mixedConfig(addr, "mixed_det_b", sqlVerbs))
+	a := drive(t, mixedConfig(addr, "mixed_det_a"))
+	b := drive(t, mixedConfig(addr, "mixed_det_b"))
 	rowsA, err := a.verify()
 	if err != nil {
 		t.Fatalf("run A: %v", err)
@@ -94,31 +132,13 @@ func TestMixedDeterministicEndState(t *testing.T) {
 	}
 }
 
-// TestMixedSQLMatchesNative replays one seed through SQL and through
-// the native line verbs: both must commit the identical end state, row
-// for row, so the SQL compiler agrees with the native write path.
-func TestMixedSQLMatchesNative(t *testing.T) {
-	addr, _, _ := lifecycleServer(t, 0, serverOptions{maxConns: 64})
-	viaSQL, err := drive(t, mixedConfig(addr, "mixed_sql", sqlVerbs)).verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaLines, err := drive(t, mixedConfig(addr, "mixed_lines", lineVerbs)).verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaSQL, viaLines) {
-		t.Fatalf("same seed, different end states: %d rows via SQL, %d via line verbs", len(viaSQL), len(viaLines))
-	}
-}
-
 // TestMixedBenchOverWireAdmission arms the server's delta-backlog
 // watermarks low enough that writes are throttled and rejected while
 // the analyst's merges drain the backlog. A rejected write must leave
 // no trace: the row-by-row check still holds.
 func TestMixedBenchOverWireAdmission(t *testing.T) {
 	addr, _, _ := lifecycleServer(t, 0, serverOptions{maxConns: 64, throttleRows: 4, overloadRows: 8})
-	cfg := mixedConfig(addr, "mixed_admission", sqlVerbs)
+	cfg := mixedConfig(addr, "mixed_admission")
 	cfg.preload = 50
 	d := drive(t, cfg)
 	if _, err := d.verify(); err != nil {
@@ -133,7 +153,7 @@ func TestMixedBenchOverWireAdmission(t *testing.T) {
 // and when a row appears behind the driver's back.
 func TestWireDriverSelfTest(t *testing.T) {
 	addr, _, _ := lifecycleServer(t, 0, serverOptions{maxConns: 64})
-	cfg := mixedConfig(addr, "selftest", sqlVerbs)
+	cfg := mixedConfig(addr, "selftest")
 	cfg.ops = 40
 	d := drive(t, cfg)
 	if _, err := d.verify(); err != nil {
@@ -160,7 +180,7 @@ func TestWireDriverSelfTest(t *testing.T) {
 	}
 
 	stray := append([]types.Value{types.Int(1 << 40)}, row[1:]...)
-	if _, err := d.ctl.DoOK(sqlVerbs(cfg.table).insert(stray)); err != nil {
+	if _, err := d.ctl.DoOK("SQL INSERT INTO " + cfg.table + " VALUES (" + wireRow(stray, ", ") + ")"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.verify(); err == nil {

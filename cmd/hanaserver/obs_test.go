@@ -29,13 +29,13 @@ func newObsClient(t *testing.T) *client {
 // scripted workload: the write/merge/scan series must be on the wire.
 func TestMetricsCommand(t *testing.T) {
 	c := newObsClient(t)
-	c.expectOK("CREATE orders id:int customer:varchar amount:double KEY 0")
+	c.expectOK("SQL CREATE TABLE orders (id INT PRIMARY KEY, customer VARCHAR, amount DOUBLE)")
 	for i := 1; i <= 5; i++ {
-		c.expectOK(fmt.Sprintf("INSERT orders %d 'cust' %d.5", i, i))
+		c.expectOK(fmt.Sprintf("SQL INSERT INTO orders VALUES (%d, 'cust', %d.5)", i, i))
 	}
 	c.expectOK("MERGE orders")
-	if out := c.send("SCAN orders"); out[len(out)-1] != "END" {
-		t.Fatalf("SCAN → %v", out)
+	if rows := c.rows("SQL SELECT * FROM orders"); len(rows) != 5 {
+		t.Fatalf("SELECT * → %v", rows)
 	}
 
 	out := strings.Join(c.send("METRICS"), "\n")
@@ -75,8 +75,8 @@ func TestMetricsWAL(t *testing.T) {
 	c := &client{t: t, conn: clientSide, r: bufio.NewScanner(clientSide)}
 	t.Cleanup(func() { clientSide.Close() })
 
-	c.expectOK("CREATE t id:int v:varchar KEY 0")
-	c.expectOK("INSERT t 1 'a'")
+	c.expectOK("SQL CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR)")
+	c.expectOK("SQL INSERT INTO t VALUES (1, 'a')")
 	c.expectOK("SAVEPOINT")
 
 	out := strings.Join(c.send("METRICS"), "\n")
@@ -94,9 +94,9 @@ func TestMetricsWAL(t *testing.T) {
 // arrive oldest-first and the merge transitions are present in order.
 func TestTraceCommand(t *testing.T) {
 	c := newObsClient(t)
-	c.expectOK("CREATE t id:int v:varchar KEY 0")
-	c.expectOK("INSERT t 1 'a'")
-	c.expectOK("INSERT t 2 'b'")
+	c.expectOK("SQL CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR)")
+	c.expectOK("SQL INSERT INTO t VALUES (1, 'a')")
+	c.expectOK("SQL INSERT INTO t VALUES (2, 'b')")
 	c.expectOK("MERGE t")
 
 	out := c.send("TRACE")

@@ -79,10 +79,10 @@ func TestAcceptLoopSurvivesTransientErrors(t *testing.T) {
 		t.Fatal("accept loop died after transient errors")
 	}
 	defer clientSide.Close()
-	fmt.Fprintln(clientSide, "CREATE t id:int KEY 0")
+	fmt.Fprintln(clientSide, "SQL CREATE TABLE t (id INT PRIMARY KEY)")
 	sc := bufio.NewScanner(clientSide)
-	if !sc.Scan() || sc.Text() != "OK" {
-		t.Fatalf("CREATE over post-flake connection: %q (err %v)", sc.Text(), sc.Err())
+	if !sc.Scan() || sc.Text() != "OK 0" {
+		t.Fatalf("CREATE TABLE over post-flake connection: %q (err %v)", sc.Text(), sc.Err())
 	}
 	srv.shutdown()
 	select {
@@ -146,8 +146,8 @@ func TestMaxConnsShedding(t *testing.T) {
 
 	first, firstSc := dial()
 	defer first.Close()
-	fmt.Fprintln(first, "CREATE t id:int KEY 0")
-	if !firstSc.Scan() || firstSc.Text() != "OK" {
+	fmt.Fprintln(first, "SQL CREATE TABLE t (id INT PRIMARY KEY)")
+	if !firstSc.Scan() || firstSc.Text() != "OK 0" {
 		t.Fatalf("first session: %q", firstSc.Text())
 	}
 
@@ -164,8 +164,8 @@ func TestMaxConnsShedding(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		third, thirdSc := dial()
-		fmt.Fprintln(third, "COUNT t")
-		ok := thirdSc.Scan() && strings.HasPrefix(thirdSc.Text(), "OK")
+		fmt.Fprintln(third, "SQL SELECT COUNT(*) FROM t")
+		ok := thirdSc.Scan() && thirdSc.Text() == "ROW 0"
 		third.Close()
 		if ok {
 			break
@@ -203,9 +203,9 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	setupSc := bufio.NewScanner(setup)
-	fmt.Fprintln(setup, "CREATE kv id:int v:varchar KEY 0")
-	if !setupSc.Scan() || setupSc.Text() != "OK" {
-		t.Fatalf("CREATE: %q", setupSc.Text())
+	fmt.Fprintln(setup, "SQL CREATE TABLE kv (id INT PRIMARY KEY, v VARCHAR)")
+	if !setupSc.Scan() || setupSc.Text() != "OK 0" {
+		t.Fatalf("CREATE TABLE: %q", setupSc.Text())
 	}
 	fmt.Fprintln(setup, "QUIT")
 	setupSc.Scan()
@@ -228,13 +228,13 @@ func TestGracefulDrain(t *testing.T) {
 			sc := bufio.NewScanner(conn)
 			for i := int64(0); ; i++ {
 				key := int64(w)*1_000_000 + i
-				if _, err := fmt.Fprintf(conn, "INSERT kv %d 'v%d'\n", key, key); err != nil {
+				if _, err := fmt.Fprintf(conn, "SQL INSERT INTO kv VALUES (%d, 'v%d')\n", key, key); err != nil {
 					return
 				}
 				if !sc.Scan() {
 					return
 				}
-				if sc.Text() == "OK" {
+				if sc.Text() == "OK 1" {
 					acked[w] = append(acked[w], key)
 				}
 			}

@@ -2,12 +2,7 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
-	"strconv"
 	"testing"
-
-	hana "repro"
 )
 
 // rows returns the ROW lines of a command (everything before END).
@@ -60,13 +55,28 @@ func TestSQLWireCommands(t *testing.T) {
 	if fmt.Sprint(rows) != fmt.Sprint([]string{"ROW 10", "ROW 11"}) {
 		t.Fatalf("post-EXECUTE SELECT → %v", rows)
 	}
-	c.expectErr("EXECUTE ins 12")            // arity
-	c.expectErr("EXECUTE nosuch 1")          // unknown name
+	c.expectErr("EXECUTE ins 12")   // arity
+	c.expectErr("EXECUTE nosuch 1") // unknown name
 	c.expectOK("DEALLOCATE ins")
-	c.expectErr("EXECUTE ins 12 'x' 1.0")    // deallocated
-	c.expectErr("DEALLOCATE ins")            // double free
+	c.expectErr("EXECUTE ins 12 'x' 1.0")     // deallocated
+	c.expectErr("DEALLOCATE ins")             // double free
 	c.expectErr("SQL SELECT nope FROM items") // check error reaches the wire
 	c.expectErr("SQL SELEC 1")                // parse error reaches the wire
+
+	// A tab separates fields as a space does.
+	for _, tc := range []struct{ cmd, want string }{
+		{"PREPARE ins\tINSERT INTO items VALUES (?, ?, ?)", "OK params=3"},
+		{"EXECUTE ins\t20\t'x'\t1.5", "OK 1"},
+		{"SQL\tUPDATE items SET price = 2 WHERE id = 20", "OK 1"},
+		{"KILL\t99", "ERR no session 99"},
+	} {
+		if out := c.send(tc.cmd); out[len(out)-1] != tc.want {
+			t.Errorf("%q → %v, want %q", tc.cmd, out, tc.want)
+		}
+	}
+	if rows := c.rows("SQL SELECT id, name, price FROM items WHERE id = 20"); fmt.Sprint(rows) != "[ROW 20 x 2]" {
+		t.Fatalf("after tab-separated EXECUTE and SQL → %v", rows)
+	}
 }
 
 func TestSQLWireTransactions(t *testing.T) {
@@ -74,13 +84,14 @@ func TestSQLWireTransactions(t *testing.T) {
 	c.expectOK("SQL CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT NOT NULL)")
 	c.expectOK("BEGIN")
 	c.expectOK("SQL INSERT INTO t VALUES (1, 10)")
-	// Visible inside the transaction, mixed with legacy verbs on the
-	// same session snapshot.
+	// Visible inside the transaction, to a prepared statement too: both
+	// read the session snapshot.
 	if rows := c.rows("SQL SELECT v FROM t WHERE id = 1"); len(rows) != 1 || rows[0] != "ROW 10" {
 		t.Fatalf("in-txn SELECT → %v", rows)
 	}
-	if got := c.expectOK("COUNT t"); got != "OK 1" {
-		t.Fatalf("in-txn legacy COUNT → %q", got)
+	c.expectOK("PREPARE cnt SELECT COUNT(*) FROM t")
+	if rows := c.rows("EXECUTE cnt"); len(rows) != 1 || rows[0] != "ROW 1" {
+		t.Fatalf("in-txn EXECUTE → %v", rows)
 	}
 	c.expectOK("ABORT")
 	if rows := c.rows("SQL SELECT v FROM t"); len(rows) != 0 {
@@ -92,90 +103,5 @@ func TestSQLWireTransactions(t *testing.T) {
 	c.expectOK("COMMIT")
 	if rows := c.rows("SQL SELECT id, v FROM t"); len(rows) != 1 || rows[0] != "ROW 2 21" {
 		t.Fatalf("post-commit SELECT → %v", rows)
-	}
-}
-
-// TestSQLLegacyDifferential replays one seeded workload twice — once
-// through the legacy verbs, once through SQL (inserts via
-// PREPARE/EXECUTE) — and requires identical end states on both
-// servers plus agreement with an in-test oracle.
-func TestSQLLegacyDifferential(t *testing.T) {
-	legacy := newClient(t)
-	sqlc := newClient(t)
-
-	legacy.expectOK("CREATE w id:int region:varchar qty:int amount:double KEY 0")
-	sqlc.expectOK("SQL CREATE TABLE w (id BIGINT PRIMARY KEY, region VARCHAR NOT NULL, qty BIGINT NOT NULL, amount DOUBLE NOT NULL)")
-	sqlc.expectOK("PREPARE ins INSERT INTO w VALUES (?, ?, ?, ?)")
-
-	regions := []string{"EMEA", "APJ", "AMER"}
-	type row struct {
-		region string
-		qty    int64
-		amount float64
-	}
-	oracle := map[int64]row{}
-	ids := []int64{}
-	rng := rand.New(rand.NewSource(7))
-	fmtF := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-
-	for i := 0; i < 200; i++ {
-		id := int64(i)
-		r := row{regions[rng.Intn(3)], int64(rng.Intn(10)), float64(rng.Intn(1000)) / 4}
-		oracle[id] = r
-		ids = append(ids, id)
-		legacy.expectOK(fmt.Sprintf("INSERT w %d '%s' %d %s", id, r.region, r.qty, fmtF(r.amount)))
-		sqlc.expectOK(fmt.Sprintf("EXECUTE ins %d '%s' %d %s", id, r.region, r.qty, fmtF(r.amount)))
-	}
-	for i := 0; i < 50; i++ {
-		id := ids[rng.Intn(len(ids))]
-		r := row{regions[rng.Intn(3)], int64(rng.Intn(10)), float64(rng.Intn(1000)) / 4}
-		oracle[id] = r
-		legacy.expectOK(fmt.Sprintf("UPDATE w %d %d '%s' %d %s", id, id, r.region, r.qty, fmtF(r.amount)))
-		sqlc.expectOK(fmt.Sprintf("SQL UPDATE w SET region = '%s', qty = %d, amount = %s WHERE id = %d",
-			r.region, r.qty, fmtF(r.amount), id))
-	}
-	for i := 0; i < 30 && len(ids) > 0; i++ {
-		j := rng.Intn(len(ids))
-		id := ids[j]
-		ids = append(ids[:j], ids[j+1:]...)
-		delete(oracle, id)
-		legacy.expectOK(fmt.Sprintf("DELETE w %d", id))
-		if got := sqlc.expectOK(fmt.Sprintf("SQL DELETE FROM w WHERE id = %d", id)); got != "OK 1" {
-			t.Fatalf("SQL DELETE id=%d → %q", id, got)
-		}
-	}
-
-	// Both servers expose the SQL engine, so the same queries read the
-	// legacy-built and SQL-built states.
-	queries := []string{
-		"SQL SELECT id, region, qty, amount FROM w ORDER BY id",
-		"SQL SELECT region, COUNT(*), SUM(qty), SUM(amount) FROM w GROUP BY region ORDER BY region",
-		"SQL SELECT COUNT(*) FROM w WHERE qty >= 5",
-	}
-	for _, q := range queries {
-		a, b := legacy.rows(q), sqlc.rows(q)
-		if fmt.Sprint(a) != fmt.Sprint(b) {
-			t.Fatalf("states diverge on %q:\nlegacy: %v\nsql:    %v", q, a, b)
-		}
-	}
-
-	// Oracle check: the full ordered scan must match the tracked map.
-	live := make([]int64, 0, len(oracle))
-	for id := range oracle {
-		live = append(live, id)
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
-	var expect [][]hana.Value
-	for _, id := range live {
-		r := oracle[id]
-		expect = append(expect, hana.Row(hana.Int(id), hana.Str(r.region), hana.Int(r.qty), hana.Float(r.amount)))
-	}
-	var want []string
-	for _, line := range hana.RenderSQLRows(expect) {
-		want = append(want, "ROW "+line)
-	}
-	got := sqlc.rows("SQL SELECT id, region, qty, amount FROM w ORDER BY id")
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("SQL state diverges from oracle:\ngot:  %v\nwant: %v", got, want)
 	}
 }
