@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race race-all bench fuzz torture soak staticcheck obs-bench race-parallel e15-smoke sql-smoke chaos-smoke explain-smoke check
+.PHONY: all build test vet race race-all bench fuzz torture soak staticcheck obs-bench race-parallel sql-smoke chaos-smoke explain-smoke check
 
 # Torture-harness knobs (see internal/torture): the seed and op count
 # for the differential run, overridable per invocation:
@@ -74,12 +74,6 @@ race-parallel:
 		-run 'TestBatchHashAggregateParallel|TestBatchHashJoinParallelBuild|TestBatchTableScanUnordered' \
 		./internal/engine
 
-# E15 smoke: the morsel-parallel scaling experiment at reduced scale,
-# as a does-it-still-run gate (the gating number is the benchmark's
-# core.parallel_scan_speedup cell; see BENCHMARK.json).
-e15-smoke:
-	$(GO) run ./cmd/hanabench -run E15 -scale 0.3
-
 # SQL front-end gate under the race detector: the compiler's own
 # suite (parser round-trips, typed-AST checks, golden plan shapes,
 # morsel-parallel fusion counter), the wire-level SQL command and
@@ -135,4 +129,4 @@ soak:
 		-run 'TestGracefulDrain|TestMaxConnsShedding|TestAcceptLoopSurvivesTransientErrors|TestOversizedLineReported' \
 		./cmd/hanaserver
 
-check: test vet staticcheck race race-parallel torture soak obs-bench e15-smoke sql-smoke chaos-smoke explain-smoke
+check: test vet staticcheck race race-parallel torture soak obs-bench sql-smoke chaos-smoke explain-smoke

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/mvcc"
@@ -123,13 +124,27 @@ func TestAbortDiscards(t *testing.T) {
 func TestUniqueConstraint(t *testing.T) {
 	db := memDB(t)
 	tab := mkTable(t, db, TableConfig{})
-	mustInsert(t, db, tab, orow(1, "acme", 5))
-
-	tx := db.Begin(mvcc.TxnSnapshot)
-	if _, err := tab.Insert(tx, orow(1, "dup", 1)); !errors.Is(err, ErrDuplicateKey) {
-		t.Errorf("err = %v, want duplicate key", err)
+	// One key per stage: 10 in the main, 11 in the L2-delta, 1 in the
+	// L1-delta. The check spans all three (§3.1).
+	mustInsert(t, db, tab, orow(10, "main", 1))
+	tab.MergeL1()
+	if _, err := tab.MergeMain(); err != nil {
+		t.Fatal(err)
 	}
-	db.Abort(tx)
+	mustInsert(t, db, tab, orow(11, "l2", 1))
+	tab.MergeL1()
+	mustInsert(t, db, tab, orow(1, "acme", 5))
+	if st := tab.Stats(); st.MainRows != 1 || st.L2Rows != 1 || st.L1Rows != 1 {
+		t.Fatalf("stage spread: %+v", st)
+	}
+
+	for _, key := range []int64{1, 10, 11} {
+		tx := db.Begin(mvcc.TxnSnapshot)
+		if _, err := tab.Insert(tx, orow(key, "dup", 1)); !errors.Is(err, ErrDuplicateKey) {
+			t.Errorf("key %d: err = %v, want duplicate key", key, err)
+		}
+		db.Abort(tx)
+	}
 
 	// Concurrent uncommitted insert of the same key → write conflict.
 	a := db.Begin(mvcc.TxnSnapshot)
@@ -253,6 +268,68 @@ func TestFullLifecyclePipeline(t *testing.T) {
 
 	if st.L1Merges != 1 || st.MainMerges != 1 {
 		t.Errorf("merge counters: %+v", st)
+	}
+}
+
+// TestStageFootprintOrdering checks Fig. 11's footprint column on one
+// set of rows as it moves through the life cycle: bytes per row
+// (Table.Stats) are largest in the L1-delta, smaller in the L2-delta
+// and smallest in the main. The rows are updates of rows that were
+// merged with long unique customer names, so the final merge only
+// reaches the smallest footprint if its dictionaries keep just the
+// values live rows still reference (§4.1).
+func TestStageFootprintOrdering(t *testing.T) {
+	const n = 2000
+	db := memDB(t)
+	tab := mkTable(t, db, TableConfig{L1MaxRows: n + 1})
+	tx := db.Begin(mvcc.TxnSnapshot)
+	for i := int64(1); i <= n; i++ {
+		// 128 hex digits with no long shared prefix between neighbours.
+		long := strings.Repeat(fmt.Sprintf("%016x", uint64(i)*0x9E3779B97F4A7C15), 8)
+		if _, err := tab.Insert(tx, orow(i, long, i%10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	tab.MergeL1()
+	if _, err := tab.MergeMain(); err != nil {
+		t.Fatal(err)
+	}
+
+	tx = db.Begin(mvcc.TxnSnapshot)
+	for i := int64(1); i <= n; i++ {
+		if _, err := tab.UpdateKey(tx, types.Int(i), orow(i, fmt.Sprintf("c%d", i%8), i%10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	st := tab.Stats()
+	if st.L1Rows != n {
+		t.Fatalf("L1 rows = %d, want %d", st.L1Rows, n)
+	}
+	l1 := float64(st.L1Bytes) / n
+	if moved, err := tab.MergeL1(); err != nil || moved != n {
+		t.Fatalf("MergeL1 = %d, %v", moved, err)
+	}
+	l2 := float64(tab.Stats().L2Bytes) / n
+	if _, err := tab.MergeMain(); err != nil {
+		t.Fatal(err)
+	}
+	st = tab.Stats()
+	if st.MainRows != n || st.L2Rows != 0 {
+		t.Fatalf("after main merge: %+v", st)
+	}
+	main := float64(st.MainBytes) / n
+	t.Logf("bytes/row: L1 %.1f, L2 %.1f, main %.1f", l1, l2, main)
+	if !(l1 > l2 && l2 > main) {
+		t.Errorf("bytes/row L1 %.1f, L2 %.1f, main %.1f: want L1 > L2 > main", l1, l2, main)
+	}
+	if got := countRows(tab); got != n {
+		t.Errorf("count = %d, want %d", got, n)
 	}
 }
 

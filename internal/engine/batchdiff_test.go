@@ -264,7 +264,7 @@ func TestBatchRowDifferential(t *testing.T) {
 					Right:   &BatchTableScan{Table: tab, Pred: rightPred, AsOf: asOf},
 					LeftCol: 1, RightCol: 1,
 				})
-		default: // grouped aggregation
+		default: // grouped aggregation, at a batch size that varies by query
 			var groupBy []int
 			if rng.Intn(4) > 0 {
 				groupBy = []int{[]int{1, 2}[rng.Intn(2)]}
@@ -273,7 +273,8 @@ func TestBatchRowDifferential(t *testing.T) {
 				{Func: AggFunc(rng.Intn(5)), Col: []int{0, 2, 3}[rng.Intn(3)]}}
 			check(q, fmt.Sprintf("agg pred=%v group=%v aggs=%v asof=%d", pred, groupBy, aggs, asOf),
 				refAggregate(scan(asOf, pred), groupBy, aggs),
-				&BatchHashAggregate{In: &BatchTableScan{Table: tab, Pred: pred, AsOf: asOf}, GroupBy: groupBy, Aggs: aggs})
+				&BatchHashAggregate{In: &BatchTableScan{Table: tab, Pred: pred, AsOf: asOf, BatchSize: 1 + q%200},
+					GroupBy: groupBy, Aggs: aggs})
 		}
 	}
 }

@@ -55,39 +55,101 @@ func l2With(m *mvcc.Manager, rows ...[]types.Value) *l2delta.Store {
 	return s
 }
 
+// l2Cells records every code, value and dictionary entry of an
+// L2-delta, so a later append can be checked against it.
+type l2Cells struct {
+	codes [][]uint32
+	vals  [][]types.Value
+	dicts [][]types.Value
+}
+
+func snapshotL2(s *l2delta.Store) l2Cells {
+	var c l2Cells
+	for pos := 0; pos < s.Len(); pos++ {
+		var codes []uint32
+		for col := range s.Schema().Columns {
+			codes = append(codes, s.Codes(col).Get(pos))
+		}
+		c.codes = append(c.codes, codes)
+		c.vals = append(c.vals, s.Row(pos))
+	}
+	for col := range s.Schema().Columns {
+		var d []types.Value
+		for code := 0; code < s.Dict(col).Len(); code++ {
+			d = append(d, s.Dict(col).At(uint32(code)))
+		}
+		c.dicts = append(c.dicts, d)
+	}
+	return c
+}
+
+// TestL1ToL2MovesSettledPrefix runs the L1→L2 merge (Fig. 6) into an
+// empty and into a non-empty L2-delta. The merge only appends: the
+// rows already in the target keep their positions, dictionary codes
+// and values, the dictionaries only grow at the end, and a batch value
+// already in a dictionary reuses its code.
 func TestL1ToL2MovesSettledPrefix(t *testing.T) {
-	m := mvcc.NewManager()
-	l1 := l1delta.New(testSchema())
-	l2 := l2delta.New(testSchema(), nil)
-	commitRows(m, l1, row(1, "Berlin", 5), row(2, "Seoul", 7))
+	for _, existing := range [][][]types.Value{
+		nil,
+		{row(10, "Walldorf", 3), row(11, "", 4), row(12, "Seoul", 9), row(13, "Walldorf", 1)},
+	} {
+		m := mvcc.NewManager()
+		l1 := l1delta.New(testSchema())
+		l2 := l2With(m, existing...)
+		before := snapshotL2(l2)
+		commitRows(m, l1, row(1, "Berlin", 5), row(2, "Seoul", 7))
 
-	// Row 3 is uncommitted: the merge must stop before it.
-	tx := m.Begin(mvcc.TxnSnapshot)
-	st := mvcc.NewStamp(tx.Marker())
-	tx.RecordCreate(st)
-	l1.Append(&l1delta.Row{ID: 3, Values: row(3, "x", 1), Stamp: st})
+		// Row 3 is uncommitted: the merge must stop before it.
+		tx := m.Begin(mvcc.TxnSnapshot)
+		st := mvcc.NewStamp(tx.Marker())
+		tx.RecordCreate(st)
+		l1.Append(&l1delta.Row{ID: 3, Values: row(3, "x", 1), Stamp: st})
 
-	newL1, moved, dropped := L1ToL2(l1, l2, 1000)
-	if moved != 2 || dropped != 0 {
-		t.Fatalf("moved=%d dropped=%d", moved, dropped)
+		newL1, moved, dropped := L1ToL2(l1, l2, 1000)
+		if moved != 2 || dropped != 0 {
+			t.Fatalf("moved=%d dropped=%d", moved, dropped)
+		}
+		if newL1.Len() != 1 || newL1.At(0).ID != 3 {
+			t.Errorf("truncated L1 = %d rows", newL1.Len())
+		}
+		base := len(existing)
+		if l2.Len() != base+2 {
+			t.Fatalf("L2 rows = %d, want %d", l2.Len(), base+2)
+		}
+		if got := l2.Value(base, 1); got.S != "Berlin" {
+			t.Errorf("pivoted value = %v", got)
+		}
+		if got := l2.Value(base+1, 0); got.I != 2 {
+			t.Errorf("pivoted id = %v", got)
+		}
+		// Stamps are shared objects (commit write-through preserved).
+		if l2.Stamp(base) != l1.At(0).Stamp {
+			t.Error("stamp not shared across stores")
+		}
+
+		after := snapshotL2(l2)
+		for pos := range before.codes {
+			if fmt.Sprint(after.codes[pos]) != fmt.Sprint(before.codes[pos]) ||
+				fmt.Sprint(after.vals[pos]) != fmt.Sprint(before.vals[pos]) {
+				t.Errorf("existing row %d changed: codes %v → %v, values %v → %v",
+					pos, before.codes[pos], after.codes[pos], before.vals[pos], after.vals[pos])
+			}
+		}
+		for col, d := range before.dicts {
+			if len(after.dicts[col]) < len(d) ||
+				fmt.Sprint(after.dicts[col][:len(d)]) != fmt.Sprint(d) {
+				t.Errorf("column %d dictionary %v was re-encoded to %v", col, d, after.dicts[col])
+			}
+		}
+		if base > 0 && after.codes[base+1][1] != before.codes[2][1] {
+			t.Errorf("batch Seoul got code %d, existing Seoul has %d",
+				after.codes[base+1][1], before.codes[2][1])
+		}
+		if err := l2.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+		tx.Abort()
 	}
-	if newL1.Len() != 1 || newL1.At(0).ID != 3 {
-		t.Errorf("truncated L1 = %d rows", newL1.Len())
-	}
-	if l2.Len() != 2 {
-		t.Fatalf("L2 rows = %d", l2.Len())
-	}
-	if got := l2.Value(0, 1); got.S != "Berlin" {
-		t.Errorf("pivoted value = %v", got)
-	}
-	if got := l2.Value(1, 0); got.I != 2 {
-		t.Errorf("pivoted id = %v", got)
-	}
-	// Stamps are shared objects (commit write-through preserved).
-	if l2.Stamp(0) != l1.At(0).Stamp {
-		t.Error("stamp not shared across stores")
-	}
-	tx.Abort()
 }
 
 func TestL1ToL2DropsAborted(t *testing.T) {
