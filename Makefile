@@ -34,7 +34,7 @@ staticcheck:
 
 # Race-detector pass over the packages with concurrent machinery
 # (scheduler, column-parallel merge, HTAP stress tests, the calc
-# executor's Combine branches and shared registry graphs, the
+# executor's Combine branches and shared graphs, the
 # morsel-parallel batch operators).
 race:
 	$(GO) test -race ./internal/core/... ./internal/merge/... ./internal/calc/... ./internal/engine/...

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	hana "repro"
+	"repro/internal/engine"
 	"repro/internal/workload"
 )
 
@@ -88,7 +89,7 @@ func benchScanAggregate(b *testing.B, size int) {
 	aggs := []hana.Agg{{Func: hana.Count}, {Func: hana.Sum, Col: 5}, {Func: hana.Sum, Col: 6}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := hana.CollectBatches(&hana.BatchHashAggregate{
+		_, err := engine.CollectBatches(&hana.BatchHashAggregate{
 			In: &hana.BatchTableScan{Table: f.tab, BatchSize: size}, GroupBy: groupBy, Aggs: aggs,
 		})
 		if err != nil {
@@ -105,7 +106,7 @@ func BenchmarkE13_LimitPushdown(b *testing.B) {
 	f := mainFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := hana.CollectBatches(&hana.BatchLimit{N: 10, In: &hana.BatchTableScan{Table: f.tab}})
+		rows, err := engine.CollectBatches(&engine.BatchLimit{N: 10, In: &hana.BatchTableScan{Table: f.tab}})
 		if err != nil || len(rows) != 10 {
 			b.Fatalf("rows=%d err=%v", len(rows), err)
 		}
@@ -141,7 +142,7 @@ func benchCodeAgg(b *testing.B, group int, aggs ...hana.Agg) {
 					g := hana.NewGraph()
 					_, err = hana.ExecuteGraph(g, g.Aggregate(g.Table(f.tab), []int{group}, aggs...), hana.Env{})
 				} else {
-					_, err = hana.CollectBatches(&hana.BatchHashAggregate{
+					_, err = engine.CollectBatches(&hana.BatchHashAggregate{
 						In: &hana.BatchTableScan{Table: f.tab}, GroupBy: []int{group}, Aggs: aggs,
 					})
 				}
@@ -154,11 +155,11 @@ func benchCodeAgg(b *testing.B, group int, aggs ...hana.Agg) {
 }
 
 func BenchmarkE13_CodeAgg_MinMaxAmountByRegion(b *testing.B) {
-	benchCodeAgg(b, 3, hana.Agg{Func: hana.Min, Col: 6}, hana.Agg{Func: hana.Max, Col: 6})
+	benchCodeAgg(b, 3, hana.Agg{Func: engine.AggMin, Col: 6}, hana.Agg{Func: engine.AggMax, Col: 6})
 }
 func BenchmarkE13_CodeAgg_MinProductByStatus(b *testing.B) {
-	benchCodeAgg(b, 4, hana.Agg{Func: hana.Min, Col: 2})
+	benchCodeAgg(b, 4, hana.Agg{Func: engine.AggMin, Col: 2})
 }
 func BenchmarkE13_CodeAgg_AvgAmountByProduct(b *testing.B) {
-	benchCodeAgg(b, 2, hana.Agg{Func: hana.Avg, Col: 6})
+	benchCodeAgg(b, 2, hana.Agg{Func: engine.AggAvg, Col: 6})
 }

@@ -8,7 +8,6 @@ import (
 	hana "repro"
 	"repro/internal/leakcheck"
 	"repro/internal/netfault"
-	"repro/internal/workload"
 )
 
 // TestChaosWireBench is the network-chaos capstone: the mixed SQL
@@ -53,7 +52,7 @@ func TestChaosWireBench(t *testing.T) {
 			d := drive(t, driveConfig{
 				addr: ln.Addr().String(), table: fmt.Sprintf("chaos_%d", seed),
 				writers: 2, ops: 55, preload: 150, seed: seed,
-				mix:        workload.Mix{InsertPct: 20, UpdatePct: 25, DeletePct: 5},
+				mix:        opMix{InsertPct: 20, UpdatePct: 25, DeletePct: 5},
 				dial:       netfault.Dialer(plan, nil),
 				maxRetries: -1,
 			})

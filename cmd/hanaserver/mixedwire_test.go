@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/types"
-	"repro/internal/workload"
 )
 
 // mixedConfig is the over-the-wire mixed workload: three writers at
@@ -17,7 +16,7 @@ func mixedConfig(addr, table string) driveConfig {
 	return driveConfig{
 		addr: addr, table: table,
 		writers: 3, ops: 150, preload: 400, seed: 7,
-		mix: workload.Mix{InsertPct: 20, UpdatePct: 25, DeletePct: 5},
+		mix: opMix{InsertPct: 20, UpdatePct: 25, DeletePct: 5},
 	}
 }
 

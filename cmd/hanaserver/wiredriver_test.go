@@ -40,11 +40,17 @@ func wireRow(row []types.Value, sep string) string {
 	return strings.Join(parts, sep)
 }
 
+// opMix is a writer's operation mix in percent; the remainder (to
+// 100) is point queries.
+type opMix struct {
+	InsertPct, UpdatePct, DeletePct int
+}
+
 type driveConfig struct {
 	addr, table           string
 	writers, ops, preload int
 	seed                  int64
-	mix                   workload.Mix
+	mix                   opMix
 	dial                  func(addr string) (net.Conn, error) // session transport; nil = plain TCP
 	maxRetries            int                                 // per-op retry budget; < 0 = unlimited
 }
@@ -64,7 +70,7 @@ type driver struct {
 type writer struct {
 	w, n            int64
 	c               *wire.Client
-	mix             workload.Mix
+	mix             opMix
 	gen             *workload.OrderGen
 	rng             *rand.Rand
 	keys            workload.KeyChooser

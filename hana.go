@@ -74,14 +74,8 @@ type (
 	TableConfig = core.TableConfig
 	// TableStats is a snapshot of a table's physical life-cycle state.
 	TableStats = core.TableStats
-	// View is a pinned, snapshot-consistent read view of a table.
-	View = core.View
-	// Match is a row produced by a view read.
-	Match = core.Match
 	// Txn is a transaction handle.
 	Txn = mvcc.Txn
-	// IsolationLevel selects snapshot granularity.
-	IsolationLevel = mvcc.IsolationLevel
 	// MergeStrategy selects the L2→main merge variant.
 	MergeStrategy = core.MergeStrategy
 )
@@ -102,22 +96,10 @@ type (
 
 // Predicates.
 type (
-	// Predicate filters rows.
-	Predicate = expr.Predicate
 	// Cmp compares a column with a constant.
 	Cmp = expr.Cmp
 	// Between is a range predicate.
 	Between = expr.Between
-	// In is list membership.
-	In = expr.In
-	// Like is a string-prefix match.
-	Like = expr.Like
-	// And is a conjunction.
-	And = expr.And
-	// Or is a disjunction.
-	Or = expr.Or
-	// Not negates.
-	Not = expr.Not
 )
 
 // Calculation graphs and the operator engine.
@@ -128,8 +110,6 @@ type (
 	Node = calc.Node
 	// StarDim describes a star-join dimension arm.
 	StarDim = calc.StarDim
-	// Registry holds named calc views.
-	Registry = calc.Registry
 	// Env is the calc execution environment.
 	Env = calc.Env
 	// Agg is an aggregate specification.
@@ -145,8 +125,6 @@ type (
 type (
 	// Batch is a block of rows in columnar layout.
 	Batch = vec.Batch
-	// BatchCol is one column vector of a batch.
-	BatchCol = vec.Col
 	// BatchIterator is the vectorized Open-Next-Close protocol.
 	BatchIterator = engine.BatchIterator
 	// BatchTableScan streams a table as column batches (the view stays
@@ -154,10 +132,6 @@ type (
 	BatchTableScan = engine.BatchTableScan
 	// BatchFilter refines selection vectors with a predicate.
 	BatchFilter = engine.BatchFilter
-	// BatchProject prunes batch columns (zero-copy).
-	BatchProject = engine.BatchProject
-	// BatchLimit truncates the stream and stops pulling when satisfied.
-	BatchLimit = engine.BatchLimit
 	// BatchHashJoin equi-joins two batch streams.
 	BatchHashJoin = engine.BatchHashJoin
 	// BatchHashAggregate groups and aggregates batch streams.
@@ -174,21 +148,14 @@ type (
 	// MetricsRegistry holds counters, gauges, histograms, and the
 	// lifecycle event tracer.
 	MetricsRegistry = obs.Registry
-	// MetricSnapshot is one metric's point-in-time state.
-	MetricSnapshot = obs.MetricSnapshot
 	// Counter is a monotonically increasing metric.
 	Counter = obs.Counter
 	// Histogram is a latency distribution metric.
 	Histogram = obs.Histogram
 	// TraceEvent is one recorded lifecycle transition.
 	TraceEvent = obs.Event
-	// TraceEventKind discriminates lifecycle transitions.
-	TraceEventKind = obs.EventKind
 	// MetricLabel is one name=value dimension on a labeled metric.
 	MetricLabel = obs.Label
-	// Logger receives the engine's structured diagnostics (merge
-	// failures, breaker transitions, recovery replay); nil discards.
-	Logger = core.Logger
 )
 
 // NewMetrics creates an enabled metrics registry for Options.Obs.
@@ -205,26 +172,9 @@ func Label(key, value string) MetricLabel { return obs.L(key, value) }
 const (
 	// EvStmtStart opens a statement span.
 	EvStmtStart = obs.EvStmtStart
-	// EvStmtPlan records the compiled plan shape.
-	EvStmtPlan = obs.EvStmtPlan
-	// EvStmtOp is one operator's actuals.
-	EvStmtOp = obs.EvStmtOp
-	// EvStmtMorsel summarizes a scan's morsel-parallel shape.
-	EvStmtMorsel = obs.EvStmtMorsel
 	// EvStmtEnd closes a statement span with its outcome.
 	EvStmtEnd = obs.EvStmtEnd
 )
-
-// DisabledMetrics is the shared no-op registry: DB.Metrics returns it
-// when the database was opened without one.
-var DisabledMetrics = obs.Disabled
-
-// DefaultBatchSize is the batch row capacity used when
-// TableConfig.BatchSize is unset.
-const DefaultBatchSize = vec.DefaultBatchSize
-
-// CollectBatches drains a batch iterator into materialized rows.
-func CollectBatches(it BatchIterator) ([][]Value, error) { return engine.CollectBatches(it) }
 
 // Data type kinds.
 const (
@@ -263,16 +213,8 @@ const (
 const (
 	// Eq is =.
 	Eq = expr.OpEq
-	// Ne is <>.
-	Ne = expr.OpNe
-	// Lt is <.
-	Lt = expr.OpLt
-	// Le is <=.
-	Le = expr.OpLe
 	// Gt is >.
 	Gt = expr.OpGt
-	// Ge is >=.
-	Ge = expr.OpGe
 )
 
 // Aggregate functions.
@@ -281,12 +223,6 @@ const (
 	Count = engine.AggCount
 	// Sum sums a column.
 	Sum = engine.AggSum
-	// Min takes the minimum.
-	Min = engine.AggMin
-	// Max takes the maximum.
-	Max = engine.AggMax
-	// Avg averages a column.
-	Avg = engine.AggAvg
 )
 
 // Errors.
@@ -296,11 +232,6 @@ var (
 	// ErrWriteConflict reports a write-write conflict between
 	// concurrent transactions.
 	ErrWriteConflict = mvcc.ErrWriteConflict
-	// ErrOverloaded reports a write rejected by delta-backlog
-	// admission control: the table's unmerged delta exceeded
-	// TableConfig.OverloadRows. Retry after the merge scheduler
-	// drains the backlog (match with errors.Is).
-	ErrOverloaded = core.ErrOverloaded
 	// ErrStatementTimeout reports a statement that exceeded its
 	// wall-clock execution budget (match with errors.Is).
 	ErrStatementTimeout = sql.ErrStatementTimeout
@@ -325,11 +256,8 @@ func MustOpen(opts Options) *DB {
 	return db
 }
 
-// NewSchema builds and validates a schema; key is the primary-key
-// column ordinal (-1 for none).
-func NewSchema(cols []Column, key int) (*Schema, error) { return types.NewSchema(cols, key) }
-
-// MustSchema is NewSchema for statically known schemas.
+// MustSchema builds and validates a statically known schema; key is
+// the primary-key column ordinal (-1 for none). It panics on error.
 func MustSchema(cols []Column, key int) *Schema { return types.MustSchema(cols, key) }
 
 // Row builds a row from values.
@@ -347,8 +275,6 @@ var (
 	Bool = types.Bool
 	// Date makes a DATE value from days since the Unix epoch.
 	Date = types.Date
-	// DateOf makes a DATE value from a time.Time.
-	DateOf = types.DateOf
 	// Null is SQL NULL.
 	Null = types.Null
 )
@@ -366,8 +292,6 @@ type (
 	// SQLLimits bounds every statement an engine runs: wall-clock
 	// timeout and memory budget.
 	SQLLimits = sql.Limits
-	// SQLSlowEntry is one captured slow-query record.
-	SQLSlowEntry = sql.SlowEntry
 )
 
 // NewSQLEngine returns a SQL engine over db; defaults seeds the
@@ -398,29 +322,8 @@ func WithSlowQuery(ctx context.Context, d time.Duration) context.Context {
 	return sql.WithSlowQuery(ctx, d)
 }
 
-// CutSQLExplain splits a leading EXPLAIN [ANALYZE] keyword off a
-// statement; ok reports whether text was an EXPLAIN at all.
-func CutSQLExplain(text string) (rest string, analyze, ok bool) { return sql.CutExplain(text) }
-
-// Calc-graph runtime statistics for EXPLAIN ANALYZE.
-type (
-	// QueryStats collects per-operator actuals for one execution,
-	// keyed by calc node; attach via Env.Stats.
-	QueryStats = calc.QueryStats
-	// OpStats is one operator's collected actuals.
-	OpStats = engine.OpStats
-	// PlanStatLine pairs one rendered plan line with its actuals.
-	PlanStatLine = calc.StatLine
-)
-
-// NewQueryStats creates an empty per-statement stats collection.
-func NewQueryStats() *QueryStats { return calc.NewQueryStats() }
-
 // NewGraph starts a calculation graph.
 func NewGraph() *Graph { return calc.NewGraph() }
-
-// NewRegistry creates a calc-view registry.
-func NewRegistry() *Registry { return calc.NewRegistry() }
 
 // ExecuteGraph validates, optimizes, and runs a calc graph, returning
 // the materialized result of root.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	hana "repro"
+	"repro/internal/core"
 )
 
 func openOrders(t *testing.T) (*hana.DB, *hana.Table) {
@@ -174,8 +175,8 @@ func TestPublicAPIOverload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !errors.Is(rejected, hana.ErrOverloaded) {
-		t.Fatalf("rejection = %v, want hana.ErrOverloaded", rejected)
+	if !errors.Is(rejected, core.ErrOverloaded) {
+		t.Fatalf("rejection = %v, want core.ErrOverloaded", rejected)
 	}
 	st := tab.Stats()
 	if st.RejectedWrites == 0 {

@@ -36,8 +36,8 @@ func TestAppendGetRoundtripAllWidths(t *testing.T) {
 		if v.Len() != len(want) {
 			t.Fatalf("width %d: len %d", width, v.Len())
 		}
-		if v.Width() != width {
-			t.Fatalf("width changed: %d -> %d", width, v.Width())
+		if v.width != width {
+			t.Fatalf("width changed: %d -> %d", width, v.width)
 		}
 		for i, w := range want {
 			if got := v.Get(i); got != w {
@@ -52,8 +52,8 @@ func TestAppendWidens(t *testing.T) {
 	v.Append(0)
 	v.Append(1)
 	v.Append(1000) // needs 10 bits
-	if v.Width() != 10 {
-		t.Fatalf("width = %d, want 10", v.Width())
+	if v.width != 10 {
+		t.Fatalf("width = %d, want 10", v.width)
 	}
 	for i, want := range []uint32{0, 1, 1000} {
 		if got := v.Get(i); got != want {
@@ -66,8 +66,8 @@ func TestAppendAllWidensOnce(t *testing.T) {
 	v := New(2)
 	codes := []uint32{1, 0, 7, 300, 2}
 	v.AppendAll(codes)
-	if v.Width() != 9 {
-		t.Fatalf("width = %d, want 9", v.Width())
+	if v.width != 9 {
+		t.Fatalf("width = %d, want 9", v.width)
 	}
 	for i, want := range codes {
 		if got := v.Get(i); got != want {
@@ -211,7 +211,7 @@ func TestFromWordsRoundtrip(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		v.Append(uint32(i * 131071 % (1 << 17)))
 	}
-	r, err := FromWords(v.Words(), v.Len(), v.Width())
+	r, err := FromWords(v.Words(), v.Len(), v.width)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,22 +57,6 @@ func (m *Meter) Reserve(n int64) error {
 	return nil
 }
 
-// Used returns the bytes reserved so far (0 for a nil meter).
-func (m *Meter) Used() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.used.Load()
-}
-
-// Limit returns the byte limit (0 for a nil meter = unlimited).
-func (m *Meter) Limit() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.limit
-}
-
 // valueOverhead approximates the boxed-value bookkeeping around the
 // payload: the interface-shaped types.Value plus slice/map slack.
 const valueOverhead = 32

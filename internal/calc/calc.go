@@ -12,9 +12,7 @@
 //   - Split and Combine — "to dynamically define and re-distribute
 //     partitions of data flows as a base construct to enable
 //     application-defined data parallelization" (§2.1), executed on
-//     parallel goroutines;
-//   - registered named graphs consumable as virtual tables from other
-//     graphs (the "calc views" of the HANA content repository).
+//     parallel goroutines.
 //
 // A graph is validated and optimized once (rule-based filter pushdown
 // and fusion, §2.2); Execute lowers it to one tree of engine batch
@@ -40,8 +38,6 @@ const (
 	KindTable Kind = iota
 	// KindValues is a constant row set source.
 	KindValues
-	// KindView references a registered calc graph as a virtual table.
-	KindView
 	// KindFilter applies a predicate.
 	KindFilter
 	// KindProject selects columns.
@@ -68,7 +64,7 @@ const (
 )
 
 func (k Kind) String() string {
-	names := [...]string{"table", "values", "view", "filter", "project", "join",
+	names := [...]string{"table", "values", "filter", "project", "join",
 		"aggregate", "union", "sort", "limit", "script", "starjoin", "split", "combine"}
 	if int(k) < len(names) {
 		return names[k]
@@ -92,7 +88,6 @@ type Node struct {
 	tableCols   []int // projection pushed into the scan (nil = all)
 	asOf        uint64
 	rows        [][]types.Value
-	viewName    string
 	pred        expr.Predicate
 	cols        []int
 	leftCol     int
@@ -117,16 +112,12 @@ type starDim struct {
 	payload []int
 }
 
-// Kind returns the node's operator kind.
-func (n *Node) Kind() Kind { return n.kind }
-
 // Graph is a calc model: built single-threaded through the builder
-// methods, then compiled exactly once — by the first Execute or by
-// Registry.Register — after which its nodes are never written again,
-// so any number of sessions may execute it concurrently.
+// methods, then compiled exactly once — by the first Execute — after
+// which its nodes are never written again, so any number of sessions
+// may execute it concurrently.
 type Graph struct {
 	nodes  []*Node
-	views  map[string]*Node
 	nextID int
 
 	compileOnce  sync.Once
@@ -136,7 +127,7 @@ type Graph struct {
 
 // NewGraph returns an empty calc graph.
 func NewGraph() *Graph {
-	return &Graph{views: map[string]*Node{}}
+	return &Graph{}
 }
 
 func (g *Graph) add(n *Node) *Node {
@@ -159,13 +150,6 @@ func (g *Graph) TableAsOf(t *core.Table, ts uint64) *Node {
 // Values adds a constant row source.
 func (g *Graph) Values(rows [][]types.Value) *Node {
 	return g.add(&Node{kind: KindValues, rows: rows})
-}
-
-// View adds a reference to a registered calc graph (consumed "in the
-// form of a virtual table", §2.1). Resolution happens at Execute via
-// the registry passed in the Env.
-func (g *Graph) View(name string) *Node {
-	return g.add(&Node{kind: KindView, viewName: name})
 }
 
 // Filter adds a predicate node.
@@ -278,10 +262,6 @@ func (g *Graph) Validate() error {
 		case KindSplit:
 			if n.parts <= 0 {
 				return fmt.Errorf("calc: split node %d with %d parts", n.id, n.parts)
-			}
-		case KindView:
-			if n.viewName == "" {
-				return fmt.Errorf("calc: view node %d without name", n.id)
 			}
 		}
 	}
@@ -464,8 +444,6 @@ func (n *Node) describe() string {
 		return fmt.Sprintf("#%d script(%s)", n.id, n.scriptLabel)
 	case KindSplit:
 		return fmt.Sprintf("#%d split[%d/%d]", n.id, n.partIdx, n.parts)
-	case KindView:
-		return fmt.Sprintf("#%d view(%s)", n.id, n.viewName)
 	default:
 		return fmt.Sprintf("#%d %v", n.id, n.kind)
 	}

@@ -222,44 +222,6 @@ func TestSplitPartitionsAreDisjointAndComplete(t *testing.T) {
 	}
 }
 
-func TestRegisteredViewAsVirtualTable(t *testing.T) {
-	_, tab := salesTable(t)
-	reg := NewRegistry()
-
-	// Register "emea_sales" as a reusable calc view.
-	vg := NewGraph()
-	vsrc := vg.Table(tab)
-	vf := vg.Filter(vsrc, expr.Cmp{Col: 1, Op: expr.OpEq, Val: types.Str("EMEA")})
-	if err := reg.Register("emea_sales", vg, vf); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register("emea_sales", vg, vf); err == nil {
-		t.Error("duplicate registration accepted")
-	}
-
-	// Consume it from another graph.
-	g := NewGraph()
-	view := g.View("emea_sales")
-	agg := g.Aggregate(view, nil, engine.Agg{Func: engine.AggCount})
-	rows, err := Execute(g, agg, Env{Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0][0].I != 40 {
-		t.Fatalf("view rows = %v", rows)
-	}
-
-	// Missing registry / unknown view fail cleanly.
-	if _, err := Execute(g, agg, Env{}); err == nil {
-		t.Error("execution without registry succeeded")
-	}
-	g2 := NewGraph()
-	bad := g2.View("nope")
-	if _, err := Execute(g2, bad, Env{Registry: reg}); err == nil {
-		t.Error("unknown view succeeded")
-	}
-}
-
 func TestStarJoinNode(t *testing.T) {
 	_, tab := salesTable(t)
 	g := NewGraph()

@@ -13,57 +13,14 @@ import (
 	"repro/internal/types"
 )
 
-// Registry holds named calc graphs ("calc views … registered in an
-// application-level content repository", §2.1) consumable as virtual
-// tables from any other graph.
-type Registry struct {
-	mu    sync.RWMutex
-	views map[string]registered
-}
-
-type registered struct {
-	graph *Graph
-	root  *Node
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{views: map[string]registered{}}
-}
-
-// Register compiles the graph (validate + optimize, once) and stores
-// it under a name. Registered graphs are immutable from here on:
-// every session reading the view plans from the same nodes.
-func (r *Registry) Register(name string, g *Graph, root *Node) error {
-	if err := g.compile(); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.views[name]; dup {
-		return fmt.Errorf("calc: view %q already registered", name)
-	}
-	r.views[name] = registered{graph: g, root: root}
-	return nil
-}
-
-// lookup resolves a registered view.
-func (r *Registry) lookup(name string) (registered, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	v, ok := r.views[name]
-	return v, ok
-}
-
-// Env carries execution context: the transaction supplying snapshots,
-// the registry for view resolution, and an optional context that
-// cancels table scans at batch granularity.
+// Env carries execution context: the transaction supplying snapshots
+// and an optional context that cancels table scans at batch
+// granularity.
 type Env struct {
-	Txn      *mvcc.Txn
-	Registry *Registry
-	Ctx      context.Context
+	Txn *mvcc.Txn
+	Ctx context.Context
 	// Stats, when non-nil, collects per-operator runtime actuals for
-	// EXPLAIN ANALYZE; nested view executions share the same tree.
+	// EXPLAIN ANALYZE.
 	Stats *QueryStats
 }
 
@@ -224,22 +181,6 @@ func (p *planner) lower(n *Node) (engine.BatchIterator, error) {
 		return &engine.BatchTableScan{Table: n.table, Txn: p.env.Txn, Pred: n.pred, Cols: n.tableCols, AsOf: n.asOf, Ctx: ctx, Stats: st}, nil
 	case KindValues:
 		return &engine.BatchValues{Rows: n.rows, Stats: st}, nil
-	case KindView:
-		if p.env.Registry == nil {
-			return nil, fmt.Errorf("calc: view %q without registry", n.viewName)
-		}
-		v, ok := p.env.Registry.lookup(n.viewName)
-		if !ok {
-			return nil, fmt.Errorf("calc: unknown view %q", n.viewName)
-		}
-		// The view's graph plans into this tree with the same
-		// environment; the predicate-less filter is a pass-through that
-		// gives the view node its own actuals.
-		in, err := newPlanner(p.env, v.root, p.wrap).build(v.root)
-		if err != nil {
-			return nil, err
-		}
-		return &engine.BatchFilter{In: in, Stats: st}, nil
 	case KindFilter:
 		pred := n.pred
 		if c, ok := pred.(expr.Const); ok && bool(c) {

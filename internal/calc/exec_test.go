@@ -13,45 +13,6 @@ import (
 	"repro/internal/types"
 )
 
-// TestRegisteredViewConcurrentExecution: a graph held by the registry
-// is compiled once at Register and never written again, so any number
-// of sessions can read the view at once (run under -race) and its plan
-// is byte-identical however often it ran.
-func TestRegisteredViewConcurrentExecution(t *testing.T) {
-	_, tab := salesTable(t)
-	reg := NewRegistry()
-	vg := NewGraph()
-	vf := vg.Filter(vg.Table(tab), expr.Cmp{Col: 1, Op: expr.OpEq, Val: types.Str("EMEA")})
-	if err := reg.Register("emea_sales", vg, vf); err != nil {
-		t.Fatal(err)
-	}
-	before := vg.Explain(vf)
-	if !strings.Contains(before, "pred=[") {
-		t.Fatalf("Register did not optimize the view:\n%s", before)
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				g := NewGraph()
-				agg := g.Aggregate(g.View("emea_sales"), nil, engine.Agg{Func: engine.AggCount})
-				rows, err := Execute(g, agg, Env{Registry: reg})
-				if err != nil || len(rows) != 1 || rows[0][0].I != 40 {
-					t.Errorf("view execution: rows=%v err=%v", rows, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if after := vg.Explain(vf); after != before {
-		t.Errorf("registered view was rewritten by its readers:\n--- before ---\n%s--- after ---\n%s", before, after)
-	}
-}
-
 // TestExecuteCompilesOnce: executing the same graph repeatedly must
 // not re-run the (non-idempotent) optimizer.
 func TestExecuteCompilesOnce(t *testing.T) {
@@ -248,23 +209,18 @@ func TestStatsEveryExecutedNodeReports(t *testing.T) {
 		t.Errorf("plan has unexecuted nodes:\n%s", plan)
 	}
 
-	// The remaining node kinds, in one graph: view, script, split,
-	// combine, union, star join, and a shared scan.
-	reg := NewRegistry()
-	vg := NewGraph()
-	if err := reg.Register("all_sales", vg, vg.Project(vg.Table(tab), 0, 1, 2)); err != nil {
-		t.Fatal(err)
-	}
+	// The remaining node kinds, in one graph: script, split, combine,
+	// union, star join, and a shared scan.
 	g2 := NewGraph()
 	shared := g2.Table(tab)
 	parts := g2.Split(shared, 2, 0)
 	comb := g2.Combine(parts...)
-	script := g2.Script(g2.View("all_sales"), "identity", func(r [][]types.Value) ([][]types.Value, error) { return r, nil })
+	script := g2.Script(g2.Project(g2.Table(tab), 0, 1, 2), "identity", func(r [][]types.Value) ([][]types.Value, error) { return r, nil })
 	star := g2.StarJoin(g2.Union(comb, script), StarDim{In: g2.Values([][]types.Value{
 		{types.Str("AMER"), types.Str("Americas")},
 	}), KeyCol: 0, FactCol: 1, Payload: []int{1}})
 	qs = NewQueryStats()
-	rows, err = Execute(g2, star, Env{Stats: qs, Registry: reg})
+	rows, err = Execute(g2, star, Env{Stats: qs})
 	if err != nil {
 		t.Fatal(err)
 	}

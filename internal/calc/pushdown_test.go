@@ -42,9 +42,10 @@ func TestFusedAggregateRule(t *testing.T) {
 		}, false},
 	}
 	for _, workers := range []int{1, 4} {
-		cfg := tab.Config()
-		cfg.Name, cfg.ScanWorkers = fmt.Sprintf("sales_w%d", workers), workers
-		table, err := db.CreateTable(cfg)
+		table, err := db.CreateTable(core.TableConfig{
+			Name: fmt.Sprintf("sales_w%d", workers), Schema: tab.Schema(),
+			Compress: true, CompactDicts: true, ScanWorkers: workers,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

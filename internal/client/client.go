@@ -332,66 +332,6 @@ func (c *Client) Prepare(name, sqlText string) error {
 	}
 }
 
-// Deallocate drops a prepared statement locally and server-side.
-func (c *Client) Deallocate(name string) error {
-	c.mu.Lock()
-	for i, p := range c.prepared {
-		if p.name == name {
-			c.prepared = append(c.prepared[:i], c.prepared[i+1:]...)
-			break
-		}
-	}
-	c.mu.Unlock()
-	_, err := c.DoRetryOK("DEALLOCATE " + name)
-	return err
-}
-
-// rowsOf converts a ROW.../END response into the bare row payloads,
-// turning an "ERR ..." terminator into a *ServerError.
-func rowsOf(cmd string, lines []string) ([]string, error) {
-	last := lines[len(lines)-1]
-	if strings.HasPrefix(last, "ERR") {
-		return nil, &ServerError{Msg: fmt.Sprintf("%s: %s", firstWord(cmd), strings.TrimPrefix(last, "ERR "))}
-	}
-	out := make([]string, 0, len(lines)-1)
-	for _, line := range lines[:len(lines)-1] {
-		out = append(out, strings.TrimPrefix(line, "ROW "))
-	}
-	return out, nil
-}
-
-// Explain fetches the server's plan for stmt, one line per plan row.
-// With analyze set the statement is executed and every operator is
-// annotated with its runtime actuals. No retry: EXPLAIN ANALYZE
-// executes the statement, so redelivery is the caller's call.
-func (c *Client) Explain(stmt string, analyze bool) ([]string, error) {
-	cmd := "EXPLAIN "
-	if analyze {
-		cmd += "ANALYZE "
-	}
-	cmd += stmt
-	lines, err := c.Do(cmd)
-	if err != nil {
-		return nil, err
-	}
-	return rowsOf(cmd, lines)
-}
-
-// SlowLog fetches up to n recent slow-query captures (0 = all
-// retained), as rendered by the server: one header line per capture
-// followed by indented plan lines.
-func (c *Client) SlowLog(n int) ([]string, error) {
-	cmd := "SLOWLOG"
-	if n > 0 {
-		cmd = fmt.Sprintf("SLOWLOG %d", n)
-	}
-	lines, err := c.DoRetry(cmd)
-	if err != nil {
-		return nil, err
-	}
-	return rowsOf(cmd, lines)
-}
-
 // Stats returns cumulative reconnect and retry counts.
 func (c *Client) Stats() (reconnects, retries uint64) {
 	c.mu.Lock()

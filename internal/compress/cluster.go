@@ -42,16 +42,6 @@ func NewCluster(codes []uint32, cardinality int) *Cluster {
 	return c
 }
 
-// ClusterFromParts reconstructs a cluster encoding from serialized
-// state.
-func ClusterFromParts(single []uint64, packed *bitpack.Vector, n int) *Cluster {
-	return &Cluster{single: single, packed: packed, n: n}
-}
-
-// Parts exposes the block directory and the packed spill vector
-// (serialization).
-func (c *Cluster) Parts() ([]uint64, *bitpack.Vector) { return c.single, c.packed }
-
 func (c *Cluster) Len() int       { return c.n }
 func (c *Cluster) Scheme() Scheme { return SchemeCluster }
 func (c *Cluster) MemSize() int   { return len(c.single)*8 + c.packed.MemSize() + 24 }

@@ -100,10 +100,8 @@ func NewPlain(codes []uint32, cardinality int) *Plain {
 	return &Plain{v: v}
 }
 
-// PlainFromVector wraps an existing bit-packed vector.
-func PlainFromVector(v *bitpack.Vector) *Plain { return &Plain{v: v} }
-
-// Vector exposes the underlying bit-packed vector (serialization).
+// Vector exposes the underlying bit-packed vector, which the main
+// store's batch scan runs its interval kernel on.
 func (p *Plain) Vector() *bitpack.Vector { return p.v }
 
 func (p *Plain) Len() int         { return p.v.Len() }

@@ -3,7 +3,6 @@ package compress
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -99,8 +98,8 @@ func TestAllSchemesSorted(t *testing.T) {
 	if rle.MemSize()*10 > plain.MemSize() {
 		t.Errorf("RLE %dB not ≪ plain %dB on sorted data", rle.MemSize(), plain.MemSize())
 	}
-	if rle.NumRuns() != 8 {
-		t.Errorf("NumRuns = %d, want 8", rle.NumRuns())
+	if len(rle.starts) != 8 {
+		t.Errorf("runs = %d, want 8", len(rle.starts))
 	}
 }
 
@@ -216,36 +215,11 @@ func TestEmptyColumn(t *testing.T) {
 
 func TestSparseTieBreakDeterministic(t *testing.T) {
 	codes := []uint32{1, 2, 1, 2}
-	a, _, _ := NewSparse(codes, 4).Parts()
-	b, _, _ := NewSparse(codes, 4).Parts()
+	a, b := NewSparse(codes, 4).defaultCode, NewSparse(codes, 4).defaultCode
 	if a != b {
 		t.Error("sparse default code not deterministic on frequency ties")
 	}
 	if a != 1 {
 		t.Errorf("tie should pick smallest code, got %d", a)
 	}
-}
-
-func TestRoundtripThroughParts(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	codes := make([]uint32, 2500)
-	for i := range codes {
-		codes[i] = uint32(rng.Intn(6))
-	}
-	sort.Slice(codes[:1000], func(a, b int) bool { return codes[a] < codes[b] })
-
-	r := NewRLE(codes, 6)
-	starts, rcodes := r.Runs()
-	r2 := RLEFromRuns(starts, rcodes, r.Len())
-	checkEncoding(t, "rle-roundtrip", r2, codes)
-
-	s := NewSparse(codes, 6)
-	def, pos, scodes := s.Parts()
-	s2 := SparseFromParts(def, pos, scodes, s.Len())
-	checkEncoding(t, "sparse-roundtrip", s2, codes)
-
-	c := NewCluster(codes, 6)
-	single, packed := c.Parts()
-	c2 := ClusterFromParts(single, packed, c.Len())
-	checkEncoding(t, "cluster-roundtrip", c2, codes)
 }

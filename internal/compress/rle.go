@@ -28,17 +28,6 @@ func NewRLE(codes []uint32, cardinality int) *RLE {
 	return r
 }
 
-// RLEFromRuns reconstructs an RLE encoding from serialized state.
-func RLEFromRuns(starts []int32, codes *bitpack.Vector, n int) *RLE {
-	return &RLE{starts: starts, codes: codes, n: n}
-}
-
-// Runs exposes the run starts and codes (serialization).
-func (r *RLE) Runs() ([]int32, *bitpack.Vector) { return r.starts, r.codes }
-
-// NumRuns returns the number of runs.
-func (r *RLE) NumRuns() int { return len(r.starts) }
-
 func (r *RLE) Len() int       { return r.n }
 func (r *RLE) Scheme() Scheme { return SchemeRLE }
 func (r *RLE) MemSize() int   { return len(r.starts)*4 + r.codes.MemSize() + 24 }

@@ -44,17 +44,6 @@ func NewSparse(codes []uint32, cardinality int) *Sparse {
 	return s
 }
 
-// SparseFromParts reconstructs a sparse encoding from serialized state.
-func SparseFromParts(defaultCode uint32, positions []int32, codes *bitpack.Vector, n int) *Sparse {
-	return &Sparse{defaultCode: defaultCode, positions: positions, codes: codes, n: n}
-}
-
-// Parts exposes the default code, exception positions, and exception
-// codes (serialization).
-func (s *Sparse) Parts() (uint32, []int32, *bitpack.Vector) {
-	return s.defaultCode, s.positions, s.codes
-}
-
 func (s *Sparse) Len() int       { return s.n }
 func (s *Sparse) Scheme() Scheme { return SchemeSparse }
 func (s *Sparse) MemSize() int   { return len(s.positions)*4 + s.codes.MemSize() + 32 }

@@ -316,16 +316,3 @@ func (v *View) ScanBatches(cols []int, pred expr.Predicate, batchSize int, fn fu
 		}
 	}
 }
-
-// ScanBatchesCtx is ScanBatches under a context: a cancelled or
-// expired context stops the stream between batches and is returned
-// as ctx.Err().
-func (v *View) ScanBatchesCtx(ctx context.Context, cols []int, pred expr.Predicate, batchSize int, fn func(b *vec.Batch) bool) error {
-	c := v.NewBatchScanCtx(ctx, cols, pred, batchSize)
-	for b := c.Next(); b != nil; b = c.Next() {
-		if !fn(b) {
-			return nil
-		}
-	}
-	return c.Err()
-}

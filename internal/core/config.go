@@ -92,16 +92,6 @@ type TableConfig struct {
 	// DefaultMorselRows. Morsels never span life-cycle stages or main
 	// chain parts.
 	ScanMorselRows int
-	// MergeRetryBase and MergeRetryMax bound the jittered exponential
-	// backoff between retries of a failed L2→main merge; 0 inherits
-	// the DBOptions value (then the built-in defaults of 2ms / 500ms).
-	MergeRetryBase time.Duration
-	MergeRetryMax  time.Duration
-	// MergeBreakerAfter opens the table's merge circuit after this
-	// many consecutive merge failures; while open, merges are only
-	// probed every MergeRetryMax. 0 inherits the DBOptions value
-	// (then the default of 5); negative disables the breaker.
-	MergeBreakerAfter int
 	// ThrottleRows is the delta-backlog high-watermark (frozen L2
 	// rows + open L2 rows) above which writes are throttled with a
 	// bounded delay; 0 disables throttling.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/expr"
 	"repro/internal/mvcc"
 	"repro/internal/types"
 )
@@ -79,7 +80,7 @@ func TestInsertCommitVisibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id == types.InvalidRowID {
+	if id == 0 {
 		t.Fatal("no row id assigned")
 	}
 
@@ -240,8 +241,7 @@ func TestFullLifecyclePipeline(t *testing.T) {
 		if got := len(v.PointLookup(1, types.Str("acme"))); got != 2 {
 			t.Fatalf("%s: acme lookup = %d", stage, got)
 		}
-		n := 0
-		v.ScanRange(2, types.Int(3), types.Int(10), true, true, func(Match) bool { n++; return true })
+		n := len(batchRows(v, []int{0}, expr.Between{Col: 2, Lo: types.Int(3), Hi: types.Int(10), LoInc: true, HiInc: true}, 0))
 		if n != 2 { // qty 5 and 7
 			t.Fatalf("%s: range count = %d", stage, n)
 		}
@@ -684,7 +684,7 @@ func TestGlobalSortedDict(t *testing.T) {
 	d := tab.GlobalSortedDict(1)
 	want := []string{"berlin", "seoul", "walldorf"}
 	if d.Len() != 3 {
-		t.Fatalf("dict = %s", d.DebugString())
+		t.Fatalf("dict has %d entries", d.Len())
 	}
 	for i, w := range want {
 		if d.At(uint32(i)).S != w {

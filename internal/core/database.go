@@ -80,14 +80,14 @@ type DBOptions struct {
 	// the default of 2. At most one main merge runs per table
 	// regardless of the cap.
 	MaxMainMerges int
-	// MergeRetryBase and MergeRetryMax are the database-wide defaults
-	// for the failed-merge backoff window (TableConfig overrides them
-	// per table); 0 selects 2ms / 500ms.
+	// MergeRetryBase and MergeRetryMax bound the jittered exponential
+	// backoff between retries of a failed L2→main merge, for every
+	// table; 0 selects 2ms / 500ms.
 	MergeRetryBase time.Duration
 	MergeRetryMax  time.Duration
-	// MergeBreakerAfter is the database-wide default for the merge
-	// circuit breaker: consecutive failures before the circuit opens.
-	// 0 selects 5; negative disables the breaker.
+	// MergeBreakerAfter opens a table's merge circuit after this many
+	// consecutive merge failures; while open, merges are only probed
+	// every MergeRetryMax. 0 selects 5; negative disables the breaker.
 	MergeBreakerAfter int
 	// Obs is the observability registry recording engine metrics and
 	// lifecycle trace events; nil disables observability (the engine

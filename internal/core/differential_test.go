@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/mvcc"
 	"repro/internal/types"
+	"repro/internal/vec"
 )
 
 // TestDifferentialAgainstModel drives the unified table with random
@@ -194,7 +195,7 @@ func runDifferential(t *testing.T, strat MergeStrategy, seed int64) {
 	st := tab.Stats()
 	sum := 0
 	v := tab.View(nil)
-	v.ScanCols([]int{0}, func(types.RowID, []types.Value) bool { sum++; return true })
+	v.ScanBatches([]int{0}, nil, 0, func(b *vec.Batch) bool { sum += b.Rows(); return true })
 	v.Close()
 	if sum != len(model) {
 		t.Fatalf("columnar scan sees %d rows, model %d", sum, len(model))

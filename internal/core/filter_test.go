@@ -10,9 +10,10 @@ import (
 	"repro/internal/types"
 )
 
-// TestFilterDifferential compares View.Filter (with dictionary
-// pushdown) against a naive ScanAll+Eval reference for randomly
-// generated predicates over data spread across all stages.
+// TestFilterDifferential compares the batch scan's filter (ranges
+// pushed down to dictionary codes, the residual evaluated per batch)
+// against a naive ScanAll+Eval reference for randomly generated
+// predicates over data spread across all stages.
 func TestFilterDifferential(t *testing.T) {
 	db := memDB(t)
 	tab := mkTable(t, db, TableConfig{Strategy: MergePartial, ActiveMainMax: 60})
@@ -72,30 +73,29 @@ func TestFilterDifferential(t *testing.T) {
 	defer v.Close()
 	for trial := 0; trial < 60; trial++ {
 		pred := randPred()
-		want := map[types.RowID]bool{}
-		v.ScanAll(func(rid types.RowID, row []types.Value) bool {
+		want := map[int64]bool{}
+		v.ScanAll(func(_ types.RowID, row []types.Value) bool {
 			if pred.Eval(row) {
-				want[rid] = true
+				want[row[0].I] = true
 			}
 			return true
 		})
-		got := map[types.RowID]bool{}
-		v.Filter(pred, func(m Match) bool {
-			if got[m.ID] {
-				t.Fatalf("pred %v: row %d emitted twice", pred, m.ID)
+		got := map[int64]bool{}
+		for _, row := range batchRows(v, nil, pred, 0) {
+			if got[row[0].I] {
+				t.Fatalf("pred %v: row %d emitted twice", pred, row[0].I)
 			}
-			got[m.ID] = true
-			if !pred.Eval(m.Row) {
-				t.Fatalf("pred %v: emitted non-matching row %v", pred, m.Row)
+			got[row[0].I] = true
+			if !pred.Eval(row) {
+				t.Fatalf("pred %v: emitted non-matching row %v", pred, row)
 			}
-			return true
-		})
+		}
 		if len(got) != len(want) {
 			t.Fatalf("pred %v: filter %d rows, reference %d", pred, len(got), len(want))
 		}
-		for rid := range want {
-			if !got[rid] {
-				t.Fatalf("pred %v: row %d missing", pred, rid)
+		for id := range want {
+			if !got[id] {
+				t.Fatalf("pred %v: row %d missing", pred, id)
 			}
 		}
 	}
@@ -112,39 +112,22 @@ func TestViewSmallAccessors(t *testing.T) {
 	if db.Manager() == nil {
 		t.Error("Manager")
 	}
-	v := tab.View(nil)
-	defer v.Close()
-	if v.Snapshot() == 0 {
-		t.Error("Snapshot")
-	}
-	if v.Schema().Key != 0 {
-		t.Error("Schema")
-	}
-	var seen []string
-	v.ScanColumn(1, func(_ types.RowID, val types.Value) bool {
-		seen = append(seen, val.S)
-		return true
-	})
-	if fmt.Sprint(seen) != "[a]" {
-		t.Errorf("ScanColumn = %v", seen)
-	}
-	if tab.MainColumnBytes(0) != 48 { // empty main: constant overhead only
-		t.Logf("MainColumnBytes = %d", tab.MainColumnBytes(0))
-	}
 }
 
 // TestRotateL2Explicit covers the exported rotation entry point.
 func TestRotateL2Explicit(t *testing.T) {
 	db := memDB(t)
 	tab := mkTable(t, db, TableConfig{})
-	if got := tab.RotateL2(); got != nil {
-		t.Fatal("rotating an empty L2 should return nil")
+	if tab.RotateL2IfFull(1) {
+		t.Fatal("rotated an empty L2")
 	}
 	mustInsert(t, db, tab, orow(1, "a", 1))
 	tab.MergeL1()
-	closed := tab.RotateL2()
-	if closed == nil || !closed.Closed() || closed.Len() != 1 {
-		t.Fatalf("closed = %+v", closed)
+	if tab.RotateL2IfFull(2) {
+		t.Fatal("rotated an L2 below the threshold")
+	}
+	if !tab.RotateL2IfFull(1) {
+		t.Fatal("did not rotate a full L2")
 	}
 	st := tab.Stats()
 	if st.FrozenL2Rows != 1 || st.L2Rows != 0 {

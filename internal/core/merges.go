@@ -58,20 +58,12 @@ func (t *Table) mergeL1Locked() (int, error) {
 	return moved, nil
 }
 
-// RotateL2 closes the open L2-delta generation and opens a fresh one
-// ("as soon as an L2-delta-to-main merge is started, the current
-// L2-delta is closed for updates and a new empty L2-delta structure
-// is created", §3.1). It returns the closed generation, or nil if the
-// open generation was empty.
-func (t *Table) RotateL2() *l2delta.Store {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.rotateL2Locked()
-}
-
-// RotateL2IfFull rotates the open L2-delta only if it still holds at
-// least min rows, with the threshold re-evaluated under the exclusive
-// latch. This is the race-free form the scheduler uses: checking the
+// RotateL2IfFull closes the open L2-delta generation and opens a
+// fresh one ("as soon as an L2-delta-to-main merge is started, the
+// current L2-delta is closed for updates and a new empty L2-delta
+// structure is created", §3.1), but only if it still holds at least
+// min rows, with the threshold re-evaluated under the exclusive latch.
+// This is the race-free form the scheduler uses: checking the
 // threshold under a read latch and rotating later can close a
 // generation another actor just rotated (now tiny), producing
 // needless fragment merges. It reports whether a rotation happened.
@@ -119,26 +111,12 @@ func (t *Table) MergeMain() (*merge.Stats, error) {
 	return t.mergeMain(context.Background(), nil, true)
 }
 
-// MergeMainCtx is MergeMain under a context: the wait for an
-// in-flight merge and the merge's per-column phases observe
-// cancellation and abort with ctx.Err(), leaving the frozen
-// generation queued for a later retry.
-func (t *Table) MergeMainCtx(ctx context.Context) (*merge.Stats, error) {
-	return t.mergeMain(ctx, nil, true)
-}
-
-// MergeMainQueued merges the oldest frozen generation but never
+// MergeMainQueuedCtx merges the oldest frozen generation but never
 // rotates the open L2-delta: when nothing is frozen it is a no-op,
-// and while another merge is in flight it fails without waiting.
-// The scheduler pairs it with RotateL2IfFull so the decision to close
-// a generation is always made on latched state.
-func (t *Table) MergeMainQueued() (*merge.Stats, error) {
-	return t.mergeMain(context.Background(), nil, false)
-}
-
-// MergeMainQueuedCtx is MergeMainQueued under a context (the
-// scheduler's entry point: its context cancels on shutdown, so a
-// long merge never delays Close).
+// and while another merge is in flight it fails without waiting. It
+// is the scheduler's entry point, paired with RotateL2IfFull so the
+// decision to close a generation is always made on latched state; its
+// context cancels on shutdown, so a long merge never delays Close.
 func (t *Table) MergeMainQueuedCtx(ctx context.Context) (*merge.Stats, error) {
 	return t.mergeMain(ctx, nil, false)
 }

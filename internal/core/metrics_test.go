@@ -152,7 +152,9 @@ func TestBreakerEventsAndLogger(t *testing.T) {
 	var mu sync.Mutex
 	var logged []string
 	db, err := OpenDatabase(DBOptions{
-		Obs: reg,
+		MergeRetryBase: time.Nanosecond, MergeRetryMax: time.Nanosecond,
+		MergeBreakerAfter: 3,
+		Obs:               reg,
 		Logger: func(event string, kv ...any) {
 			mu.Lock()
 			logged = append(logged, event)
@@ -163,10 +165,7 @@ func TestBreakerEventsAndLogger(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	tab := mkTable(t, db, TableConfig{
-		MergeRetryBase: time.Nanosecond, MergeRetryMax: time.Nanosecond,
-		MergeBreakerAfter: 3,
-	})
+	tab := mkTable(t, db, TableConfig{})
 	mustInsert(t, db, tab, orow(1, "a", 1), orow(2, "b", 2))
 	if _, err := tab.MergeL1(); err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/mvcc"
 	"repro/internal/types"
-	"repro/internal/vec"
 )
 
 // TestDegradationLadder walks a table through the full overload
@@ -121,13 +120,17 @@ func TestDegradationLadder(t *testing.T) {
 // circuit, the open circuit only admits half-open probes, and one
 // success closes everything.
 func TestMergeBackoffAndCircuit(t *testing.T) {
-	db := memDB(t)
-	now := time.Unix(1000, 0)
-	db.now = func() time.Time { return now }
-	tab := mkTable(t, db, TableConfig{
+	db, err := OpenDatabase(DBOptions{
 		MergeRetryBase: time.Millisecond, MergeRetryMax: 8 * time.Millisecond,
 		MergeBreakerAfter: 3,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	now := time.Unix(1000, 0)
+	db.now = func() time.Time { return now }
+	tab := mkTable(t, db, TableConfig{})
 	mustInsert(t, db, tab, orow(1, "a", 1), orow(2, "b", 2))
 	if _, err := tab.MergeL1(); err != nil {
 		t.Fatal(err)
@@ -318,28 +321,5 @@ func TestScanCancellation(t *testing.T) {
 	// The error is sticky.
 	if cur.Next() != nil || !errors.Is(cur.Err(), context.Canceled) {
 		t.Fatal("cancelled cursor revived")
-	}
-
-	// ScanBatchesCtx propagates the same error.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	n := 0
-	err := v.ScanBatchesCtx(ctx2, nil, nil, 4, func(*vec.Batch) bool {
-		n++
-		cancel2()
-		return true
-	})
-	if !errors.Is(err, context.Canceled) || n != 1 {
-		t.Fatalf("ScanBatchesCtx: err=%v batches=%d", err, n)
-	}
-
-	// ScanAllCtx with a pre-cancelled context does no work.
-	done, cancel3 := context.WithCancel(context.Background())
-	cancel3()
-	calls := 0
-	if err := v.ScanAllCtx(done, func(types.RowID, []types.Value) bool {
-		calls++
-		return true
-	}); !errors.Is(err, context.Canceled) || calls != 0 {
-		t.Fatalf("ScanAllCtx: err=%v calls=%d", err, calls)
 	}
 }

@@ -45,7 +45,7 @@ func TestGlobalSortedDictSnapshotBorder(t *testing.T) {
 		}
 	})
 	if d.Len() != 2 {
-		t.Fatalf("global dict has %d entries, want 2 (snapshot border ignored?): %s", d.Len(), d.DebugString())
+		t.Fatalf("global dict has %d entries, want 2 (snapshot border ignored?)", d.Len())
 	}
 	if _, ok := d.Lookup(types.Str("zulu")); ok {
 		t.Error("post-snapshot value leaked into the global dictionary")
@@ -137,7 +137,7 @@ func TestRotateL2ThresholdLatched(t *testing.T) {
 	if _, err := tab.MergeL1(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.MergeMainQueued(); err != nil {
+	if _, err := tab.MergeMainQueuedCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	st = tab.Stats()
@@ -149,7 +149,7 @@ func TestRotateL2ThresholdLatched(t *testing.T) {
 	}
 	// With nothing frozen, the queued form is a no-op — unlike
 	// MergeMain, which would rotate the tiny open generation.
-	if stats, err := tab.MergeMainQueued(); err != nil || stats != nil {
+	if stats, err := tab.MergeMainQueuedCtx(context.Background()); err != nil || stats != nil {
 		t.Fatalf("queued merge on empty frozen queue: stats=%v err=%v", stats, err)
 	}
 	if got := tab.Stats(); got.L2Rows != 1 || got.MainMerges != 1 {
@@ -206,8 +206,8 @@ func TestSchedulerMergesMultipleTables(t *testing.T) {
 
 // TestExplicitMergeWaitsForInFlight pins the explicit-merge contract:
 // while another merge (the scheduler's) is computing, MergeMain waits
-// for it and then merges what is left instead of failing; MergeMainCtx
-// abandons the wait with the context's error; the scheduler's queued
+// for it and then merges what is left instead of failing; a cancelled
+// context abandons the wait with the context's error; the scheduler's queued
 // entry point still refuses without waiting.
 func TestExplicitMergeWaitsForInFlight(t *testing.T) {
 	db := memDB(t)
@@ -233,12 +233,12 @@ func TestExplicitMergeWaitsForInFlight(t *testing.T) {
 	if _, err := tab.MergeL1(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.MergeMainQueued(); err == nil {
+	if _, err := tab.MergeMainQueuedCtx(context.Background()); err == nil {
 		t.Fatal("queued merge did not refuse while a merge is in flight")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := tab.MergeMainCtx(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := tab.mergeMain(ctx, nil, true); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled wait: err = %v, want context.Canceled", err)
 	}
 	second := make(chan error, 1)

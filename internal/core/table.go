@@ -92,34 +92,13 @@ func newTable(db *Database, cfg TableConfig) *Table {
 	t.l1 = l1delta.New(cfg.Schema)
 	t.l2 = l2delta.New(cfg.Schema, cfg.Indexed)
 	t.main = mainstore.EmptyStore(cfg.Schema)
-	base, max := cfg.MergeRetryBase, cfg.MergeRetryMax
-	if base <= 0 {
-		base = db.retryBase
-	}
-	if max <= 0 {
-		max = db.retryMax
-	}
-	breakAfter := cfg.MergeBreakerAfter
-	if breakAfter == 0 {
-		breakAfter = db.breakerAfter
-	}
+	breakAfter := db.breakerAfter
 	if breakAfter == 0 {
 		breakAfter = defaultMergeBreakerAfter
 	}
-	t.gate = newMergeGate(base, max, breakAfter)
+	t.gate = newMergeGate(db.retryBase, db.retryMax, breakAfter)
 	t.met = newTableMetrics(db.obs, cfg.Name)
 	return t
-}
-
-// setMergeFailPoint installs (or, with nil, clears) a fail point
-// consulted by every merge regardless of entry point — the test hook
-// behind the degradation-ladder and circuit-breaker tests.
-func (t *Table) setMergeFailPoint(fn func(string) error) {
-	if fn == nil {
-		t.mergeFail.Store(nil)
-		return
-	}
-	t.mergeFail.Store(&fn)
 }
 
 // noteMergeErr records err as the table's last merge error (Stats'
@@ -136,9 +115,6 @@ func (t *Table) Name() string { return t.cfg.Name }
 
 // Schema returns the table schema.
 func (t *Table) Schema() *types.Schema { return t.cfg.Schema }
-
-// Config returns the table configuration.
-func (t *Table) Config() TableConfig { return t.cfg }
 
 // Insert adds one row within tx, assigning and returning the record's
 // life-long RowID. The row enters the L1-delta; a redo record is
@@ -454,15 +430,6 @@ func (t *Table) l2Generations() []*l2delta.Store {
 	out := make([]*l2delta.Store, 0, len(t.frozen)+1)
 	out = append(out, t.frozen...)
 	return append(out, t.l2)
-}
-
-// MainColumnBytes approximates the main-store heap footprint of one
-// column (dictionary + value index + null bitmap), the quantity the
-// compression experiments measure.
-func (t *Table) MainColumnBytes(col int) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.main.ColumnBytes(col)
 }
 
 // Stats returns a snapshot of the table's physical state.

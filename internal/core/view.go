@@ -1,10 +1,7 @@
 package core
 
 import (
-	"context"
-
 	"repro/internal/dict"
-	"repro/internal/expr"
 	"repro/internal/l1delta"
 	"repro/internal/l2delta"
 	"repro/internal/mainstore"
@@ -80,12 +77,6 @@ func (v *View) Close() {
 	}
 }
 
-// Snapshot returns the snapshot timestamp the view reads at.
-func (v *View) Snapshot() uint64 { return v.snap }
-
-// Schema returns the table schema.
-func (v *View) Schema() *types.Schema { return v.t.cfg.Schema }
-
 // Match is one visible row produced by a view read.
 type Match struct {
 	ID  types.RowID
@@ -115,69 +106,6 @@ func (v *View) ScanAll(fn func(id types.RowID, row []types.Value) bool) {
 	v.main.ScanVisible(v.tombs, v.snap, v.self, func(loc mainstore.Loc) bool {
 		cont = fn(v.main.RowID(loc), v.main.Row(loc))
 		return cont
-	})
-}
-
-// ScanAllCtx is ScanAll under a context: cancellation is observed
-// every ctxStride rows and aborts the scan with ctx.Err(). fn
-// returning false still stops the scan with a nil error.
-func (v *View) ScanAllCtx(ctx context.Context, fn func(id types.RowID, row []types.Value) bool) error {
-	const ctxStride = 1024
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	var err error
-	n := 0
-	v.ScanAll(func(id types.RowID, row []types.Value) bool {
-		if n++; n%ctxStride == 0 {
-			if err = ctx.Err(); err != nil {
-				return false
-			}
-		}
-		return fn(id, row)
-	})
-	return err
-}
-
-// ScanCols streams only the selected columns of every visible row —
-// the projection-free access pattern column stores exist for. The
-// columnar stages block-decode their value vectors instead of
-// materializing full rows; the L1-delta projects from its row format
-// ("record projection" is one of its fast operations, §3). vals is
-// reused between calls; fn must not retain it.
-func (v *View) ScanCols(cols []int, fn func(id types.RowID, vals []types.Value) bool) {
-	cont := true
-	l1Vals := make([]types.Value, len(cols))
-	v.l1.ScanVisible(v.l1Border, v.snap, v.self, func(_ int, r *l1delta.Row) bool {
-		for i, c := range cols {
-			l1Vals[i] = r.Values[c]
-		}
-		cont = fn(r.ID, l1Vals)
-		return cont
-	})
-	if !cont {
-		return
-	}
-	for gi, g := range v.l2s {
-		g.ScanVisibleCols(cols, v.borders[gi], v.snap, v.self, func(pos int, vals []types.Value) bool {
-			cont = fn(g.RowID(pos), vals)
-			return cont
-		})
-		if !cont {
-			return
-		}
-	}
-	v.main.ScanVisibleCols(cols, v.tombs, v.snap, v.self, func(loc mainstore.Loc, vals []types.Value) bool {
-		cont = fn(v.main.RowID(loc), vals)
-		return cont
-	})
-}
-
-// ScanColumn streams (id, value) pairs of one column for every
-// visible row.
-func (v *View) ScanColumn(col int, fn func(id types.RowID, val types.Value) bool) {
-	v.ScanCols([]int{col}, func(id types.RowID, vals []types.Value) bool {
-		return fn(id, vals[0])
 	})
 }
 
@@ -303,76 +231,9 @@ func (v *View) Get(key types.Value) *Match {
 	return &ms[0]
 }
 
-// ScanRange streams visible rows whose column value lies in [lo, hi]
-// (NULL bound = unbounded), resolving the range in each stage's
-// dictionary structures (Fig. 10).
-func (v *View) ScanRange(col int, lo, hi types.Value, loInc, hiInc bool, fn func(m Match) bool) {
-	between := expr.Between{Col: col, Lo: lo, Hi: hi, LoInc: loInc, HiInc: hiInc}
-	cont := true
-	v.l1.ScanVisible(v.l1Border, v.snap, v.self, func(_ int, r *l1delta.Row) bool {
-		if between.Eval(r.Values) {
-			cont = fn(Match{ID: r.ID, Row: r.Values})
-		}
-		return cont
-	})
-	if !cont {
-		return
-	}
-	for gi, g := range v.l2s {
-		for _, pos := range g.ScanColumnRange(col, lo, hi, loInc, hiInc, v.borders[gi]) {
-			st := g.Stamp(pos)
-			if mvcc.Visible(st.Create(), st.Delete(), v.snap, v.self) {
-				if cont = fn(Match{ID: g.RowID(pos), Row: g.Row(pos)}); !cont {
-					return
-				}
-			}
-		}
-	}
-	for _, loc := range v.main.ScanRange(col, lo, hi, loInc, hiInc) {
-		if v.main.Visible(loc, v.tombs, v.snap, v.self) {
-			if cont = fn(Match{ID: v.main.RowID(loc), Row: v.main.Row(loc)}); !cont {
-				return
-			}
-		}
-	}
-}
-
 // Count returns the number of visible rows.
 func (v *View) Count() int {
 	n := 0
 	v.ScanAll(func(types.RowID, []types.Value) bool { n++; return true })
 	return n
-}
-
-// Filter streams visible rows satisfying pred, pushing resolvable
-// column ranges into dictionary scans and evaluating the residual
-// row-at-a-time.
-func (v *View) Filter(pred expr.Predicate, fn func(m Match) bool) {
-	ranges, residual := expr.Pushdown(pred)
-	if len(ranges) == 0 {
-		full := pred
-		v.ScanAll(func(id types.RowID, row []types.Value) bool {
-			if full == nil || full.Eval(row) {
-				return fn(Match{ID: id, Row: row})
-			}
-			return true
-		})
-		return
-	}
-	// Drive the scan with the first range; apply the rest (and the
-	// residual) as filters.
-	first := ranges[0]
-	rest := ranges[1:]
-	v.ScanRange(first.Col, first.Lo, first.Hi, first.LoInc, first.HiInc, func(m Match) bool {
-		for _, r := range rest {
-			b := expr.Between{Col: r.Col, Lo: r.Lo, Hi: r.Hi, LoInc: r.LoInc, HiInc: r.HiInc}
-			if !b.Eval(m.Row) {
-				return true
-			}
-		}
-		if residual != nil && !residual.Eval(m.Row) {
-			return true
-		}
-		return fn(m)
-	})
 }

@@ -215,7 +215,7 @@ func TestMergeGeneralPaperExample(t *testing.T) {
 	}
 	want := []string{"Campbell", "Daily City", "Los Gatos", "San Francisco", "San Jose"}
 	if res.Dict.Len() != len(want) {
-		t.Fatalf("merged dict = %s", res.Dict.DebugString())
+		t.Fatalf("merged dict has %d entries", res.Dict.Len())
 	}
 	for i, w := range want {
 		if got := res.Dict.At(uint32(i)).S; got != w {
@@ -264,7 +264,7 @@ func TestMergeAppendFastPath(t *testing.T) {
 		t.Fatalf("path = %v stable=%v", res.Path, res.MainStable)
 	}
 	if res.Dict.Len() != 4 {
-		t.Fatalf("dict = %s", res.Dict.DebugString())
+		t.Fatalf("dict has %d entries", res.Dict.Len())
 	}
 	if res.DeltaMap[0] != 3 || res.DeltaMap[1] != 2 {
 		t.Errorf("DeltaMap = %v", res.DeltaMap)
@@ -281,7 +281,7 @@ func TestMergeEmptyMain(t *testing.T) {
 	delta.GetOrAdd(types.Int(1))
 	res := Merge(nil, delta)
 	if res.Dict.Len() != 2 || res.Dict.At(0).I != 1 {
-		t.Fatalf("dict = %s", res.Dict.DebugString())
+		t.Fatalf("dict has %d entries", res.Dict.Len())
 	}
 	if res.DeltaMap[0] != 1 || res.DeltaMap[1] != 0 {
 		t.Errorf("DeltaMap = %v", res.DeltaMap)
@@ -361,8 +361,8 @@ func TestMergeSorted(t *testing.T) {
 	m, aMap, bMap := MergeSorted(a, b)
 	want := []string{"a", "b", "d", "f", "z"}
 	for i, w := range want {
-		if m.At(uint32(i)).S != w {
-			t.Fatalf("merged = %s", m.DebugString())
+		if got := m.At(uint32(i)).S; got != w {
+			t.Fatalf("merged[%d] = %q, want %q", i, got, w)
 		}
 	}
 	for i := 0; i < a.Len(); i++ {

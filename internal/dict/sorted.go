@@ -3,7 +3,6 @@ package dict
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/types"
 )
@@ -235,16 +234,4 @@ func (s *Sorted) MemSize() int {
 // code instead of boxing values (§4.1, [15]).
 func (s *Sorted) NumericSlices() (ints []int64, floats []float64) {
 	return s.ints, s.floats
-}
-
-// DebugString lists the dictionary contents (tests and CLI only).
-func (s *Sorted) DebugString() string {
-	var b strings.Builder
-	for i := 0; i < s.Len(); i++ {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(s.At(uint32(i)).String())
-	}
-	return b.String()
 }

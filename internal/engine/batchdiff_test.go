@@ -78,11 +78,7 @@ func TestBatchRowDifferential(t *testing.T) {
 		}
 		db.Commit(tx)
 	}
-	snapAt := func() uint64 {
-		v := tab.View(nil)
-		defer v.Close()
-		return v.Snapshot()
-	}
+	snapAt := db.Manager().LastCommitted
 
 	// Spread rows across every stage: split main chain, frozen and hot
 	// L2 rows, L1 rows, with deletes in each region and AsOf snapshots

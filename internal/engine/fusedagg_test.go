@@ -127,9 +127,7 @@ func buildDiffTable(t *testing.T, seed int64) (*core.Database, *core.Table, uint
 	insert(50)
 	churn(10)
 	merge() // part 1 passive, part 2 active
-	v := tab.View(nil)
-	asOf := v.Snapshot()
-	v.Close()
+	asOf := db.Manager().LastCommitted()
 	insert(40)
 	churn(8)
 	if _, err := tab.MergeL1(); err != nil {

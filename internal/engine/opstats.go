@@ -82,14 +82,6 @@ func (s *OpStats) RowsOut() int64 {
 	return s.rowsOut.Load()
 }
 
-// Batches returns the emitted batch count.
-func (s *OpStats) Batches() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.batchesOut.Load()
-}
-
 // Wall returns the recorded wall time.
 func (s *OpStats) Wall() time.Duration {
 	if s == nil {

@@ -16,7 +16,7 @@ func TestOpStatsNilSafe(t *testing.T) {
 	s.AddWall(time.Second)
 	s.AddBudget(100)
 	s.SetScan(core.ScanStats{Rows: 9, Workers: 4})
-	if s.RowsOut() != 0 || s.Batches() != 0 || s.Wall() != 0 ||
+	if s.RowsOut() != 0 || s.Wall() != 0 ||
 		s.Workers() != 0 || s.Morsels() != 0 {
 		t.Fatal("nil OpStats leaked state")
 	}

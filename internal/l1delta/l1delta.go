@@ -59,9 +59,6 @@ func New(schema *types.Schema) *Store {
 // Len returns the number of row versions (live and dead).
 func (s *Store) Len() int { return len(s.rows) }
 
-// Schema returns the table schema.
-func (s *Store) Schema() *types.Schema { return s.schema }
-
 // Append adds a row version and returns its position.
 func (s *Store) Append(r *Row) int {
 	pos := len(s.rows)

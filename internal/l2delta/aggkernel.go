@@ -17,7 +17,7 @@ const ctxStride = 64 << 10
 // caller sizes counts as Dict(groupCol).Len()+1). Data columns must
 // be numeric. ctx is observed on entry and every ctxStride codes; its
 // error ends the accumulation early. This is the vectorized sibling
-// of ScanVisibleCols (§4.1, [15]).
+// of ScanVisibleGroupCodes (§4.1, [15]).
 func (s *Store) AccumNumeric(ctx context.Context, groupCol int, dataCols []int, border int, snap, self uint64,
 	counts []int64, colCnt, colSumI [][]int64, colSumF [][]float64) error {
 	const block = 1024

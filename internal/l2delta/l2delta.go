@@ -78,24 +78,10 @@ func (s *Store) Schema() *types.Schema { return s.schema }
 // Len returns the number of row versions stored.
 func (s *Store) Len() int { return len(s.rowIDs) }
 
-// Closed reports whether the generation is closed for updates.
-func (s *Store) Closed() bool { return s.closed }
-
 // Close marks the generation read-only; the L2→main merge calls it
 // before it starts copying ("the current L2-delta is closed for
 // updates and a new empty L2-delta structure is created", §3.1).
 func (s *Store) Close() { s.closed = true }
-
-// IndexedColumns returns the ordinals carrying inverted indexes.
-func (s *Store) IndexedColumns() []int {
-	var out []int
-	for i, b := range s.indexed {
-		if b {
-			out = append(out, i)
-		}
-	}
-	return out
-}
 
 // AppendRow adds one row version; the row must match the schema.
 func (s *Store) AppendRow(values []types.Value, id types.RowID, stamp *mvcc.Stamp) int {
@@ -246,79 +232,10 @@ func (s *Store) LookupValue(col int, v types.Value, limit int) []int {
 	return hits
 }
 
-// ScanColumnRange returns the positions in [0, border) whose column
-// value lies in the given range (NULL bound = unbounded). The
-// unsorted dictionary is scanned for matching codes — the price of
-// cheap inserts — and the vector is scanned against that code set.
-func (s *Store) ScanColumnRange(col int, lo, hi types.Value, loInc, hiInc bool, border int) []int {
-	c := s.cols[col]
-	matching := c.dict.RangeCodes(lo, hi, loInc, hiInc)
-	if len(matching) == 0 {
-		return nil
-	}
-	if border > len(s.rowIDs) {
-		border = len(s.rowIDs)
-	}
-	set := make(map[uint32]struct{}, len(matching))
-	for _, m := range matching {
-		set[m] = struct{}{}
-	}
-	var hits []int
-	buf := make([]uint32, 1024)
-	for start := 0; start < border; {
-		n := c.codes.DecodeBlock(start, buf)
-		if start+n > border {
-			n = border - start
-		}
-		for i := 0; i < n; i++ {
-			if _, ok := set[buf[i]]; ok && !c.nulls.get(start+i) {
-				hits = append(hits, start+i)
-			}
-		}
-		start += n
-	}
-	return hits
-}
-
-// ScanVisibleCols streams the selected columns of every visible row
-// up to border, block-decoding the code vectors (vectorized access,
-// §3.1). vals is reused across calls; fn must not retain it.
-func (s *Store) ScanVisibleCols(cols []int, border int, snap, self uint64, fn func(pos int, vals []types.Value) bool) {
-	const block = 1024
-	if border > len(s.rowIDs) {
-		border = len(s.rowIDs)
-	}
-	bufs := make([][block]uint32, len(cols))
-	vals := make([]types.Value, len(cols))
-	for start := 0; start < border; start += block {
-		end := start + block
-		if end > border {
-			end = border
-		}
-		for i, c := range cols {
-			s.cols[c].codes.DecodeBlock(start, bufs[i][:end-start])
-		}
-		for pos := start; pos < end; pos++ {
-			if !mvcc.VisibleStamp(s.stamps[pos], snap, self) {
-				continue
-			}
-			for i, c := range cols {
-				col := s.cols[c]
-				if col.nulls.get(pos) {
-					vals[i] = types.Null
-					continue
-				}
-				vals[i] = col.dict.At(bufs[i][pos-start])
-			}
-			if !fn(pos, vals) {
-				return
-			}
-		}
-	}
-}
-
-// ScanVisibleGroupCodes is ScanVisibleCols plus the raw dictionary
-// code of one grouping column (-1 for NULL), letting aggregation
+// ScanVisibleGroupCodes streams the data columns of every visible
+// row up to border, block-decoding the code vectors (vectorized
+// access, §3.1), plus the raw dictionary code of one grouping column
+// (-1 for NULL), letting aggregation
 // operators group by code instead of by value — "special operators
 // working directly on dictionary encoded columns" (§4.1).
 func (s *Store) ScanVisibleGroupCodes(groupCol int, dataCols []int, border int, snap, self uint64,

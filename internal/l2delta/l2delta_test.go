@@ -1,10 +1,12 @@
 package l2delta
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/mvcc"
 	"repro/internal/types"
+	"repro/internal/vec"
 )
 
 func testSchema() *types.Schema {
@@ -15,7 +17,11 @@ func testSchema() *types.Schema {
 	}, 0)
 }
 
-func genesis() *mvcc.Stamp { return mvcc.NewStamp(mvcc.GenesisTS) }
+// genesisTS is the commit timestamp of rows loaded outside any
+// transaction.
+const genesisTS uint64 = 1
+
+func genesis() *mvcc.Stamp { return mvcc.NewStamp(genesisTS) }
 
 func appendRows(s *Store, start int64, cities ...string) {
 	for i, c := range cities {
@@ -75,9 +81,8 @@ func TestNullHandling(t *testing.T) {
 
 func TestKeyColumnAlwaysIndexed(t *testing.T) {
 	s := New(testSchema(), nil)
-	cols := s.IndexedColumns()
-	if len(cols) != 1 || cols[0] != 0 {
-		t.Fatalf("IndexedColumns = %v", cols)
+	if len(s.indexed) != 3 || !s.indexed[0] || s.indexed[1] || s.indexed[2] {
+		t.Fatalf("indexed = %v", s.indexed)
 	}
 	appendRows(s, 10, "a", "b")
 	hits := s.LookupValue(0, types.Int(11), 0)
@@ -148,27 +153,35 @@ func TestAppendBatchMatchesRowAppend(t *testing.T) {
 	}
 }
 
+// TestScanColumnRange runs Fig. 10-style range predicates through the
+// batch scan's pushdown: the unsorted dictionary resolves the value
+// range to a code set, and the border cuts off later rows.
 func TestScanColumnRange(t *testing.T) {
 	s := New(testSchema(), nil)
 	appendRows(s, 1, "Campbell", "Los Gatos", "Daily City", "San Jose", "Los Angeles")
-	// Fig. 10 style range: C% to L% inclusive of L-prefixed cities.
-	hits := s.ScanColumnRange(1, types.Str("C"), types.Str("M"), true, false, s.Len())
-	if len(hits) != 4 { // Campbell, Los Gatos, Daily City, Los Angeles
-		t.Errorf("range hits = %v", hits)
+	ids := func(col int, lo, hi types.Value, loInc, hiInc bool, border int) string {
+		c := s.NewBatchScan([]int{0}, border, genesisTS, 0)
+		c.FilterRange(col, lo, hi, loInc, hiInc)
+		out := []*vec.Col{vec.NewCol(types.KindInt64)}
+		for more := true; more; {
+			_, more = c.Fill(out, 1024)
+		}
+		return fmt.Sprint(out[0].Ints)
 	}
-	// Border cuts off later rows.
-	hits = s.ScanColumnRange(1, types.Str("C"), types.Str("M"), true, false, 2)
-	if len(hits) != 2 {
-		t.Errorf("bordered hits = %v", hits)
+	// C% to L% inclusive of L-prefixed cities: Campbell, Los Gatos,
+	// Daily City, Los Angeles.
+	if got := ids(1, types.Str("C"), types.Str("M"), true, false, s.Len()); got != "[1 2 3 5]" {
+		t.Errorf("range ids = %s", got)
 	}
-	// Numeric range on the float column.
-	hits = s.ScanColumnRange(2, types.Float(1), types.Float(2), true, true, s.Len())
-	if len(hits) != 3 { // 1.0, 1.5, 2.0
-		t.Errorf("float hits = %v", hits)
+	if got := ids(1, types.Str("C"), types.Str("M"), true, false, 2); got != "[1 2]" {
+		t.Errorf("bordered ids = %s", got)
 	}
-	// Empty result.
-	if got := s.ScanColumnRange(1, types.Str("Z"), types.Null, true, true, s.Len()); got != nil {
-		t.Errorf("empty range = %v", got)
+	// Numeric range on the float column (amount = id/2).
+	if got := ids(2, types.Float(1), types.Float(2), true, true, s.Len()); got != "[2 3 4]" {
+		t.Errorf("float ids = %s", got)
+	}
+	if got := ids(1, types.Str("Z"), types.Null, true, true, s.Len()); got != "[]" {
+		t.Errorf("empty range = %s", got)
 	}
 }
 
@@ -210,7 +223,7 @@ func TestScanVisible(t *testing.T) {
 func TestCloseBlocksAppends(t *testing.T) {
 	s := New(testSchema(), nil)
 	s.Close()
-	if !s.Closed() {
+	if !s.closed {
 		t.Fatal("not closed")
 	}
 	defer func() {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/mvcc"
 	"repro/internal/types"
+	"repro/internal/vec"
 )
 
 func scanFixture(t *testing.T) (*Store, uint64) {
@@ -48,31 +49,35 @@ func scanFixture(t *testing.T) (*Store, uint64) {
 	return s, m.LastCommitted()
 }
 
+// TestScanVisibleColsL2 checks the batch scan's block-decoded columns
+// against the visible rows (NULLs kept, the deleted row 4 hidden), the
+// border cut, and a fill that runs out of room and resumes.
 func TestScanVisibleColsL2(t *testing.T) {
 	s, snap := scanFixture(t)
-	var got []string
-	s.ScanVisibleCols([]int{1, 3}, s.Len(), snap, 0, func(pos int, vals []types.Value) bool {
-		got = append(got, fmt.Sprintf("%d:%v/%v", s.RowID(pos), vals[0], vals[1]))
-		return true
-	})
-	want := []string{"1:b/0.5", "2:a/1.5", "3:NULL/2.5", "5:a/4.5"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("got %v, want %v", got, want)
+	scan := func(border, room int) string {
+		c := s.NewBatchScan([]int{0, 1, 3}, border, snap, 0)
+		out := []*vec.Col{vec.NewCol(types.KindInt64), vec.NewCol(types.KindString), vec.NewCol(types.KindFloat64)}
+		n := 0
+		for more := true; more; {
+			var filled int
+			filled, more = c.Fill(out, room)
+			n += filled
+		}
+		var rows []string
+		for i := 0; i < n; i++ {
+			rows = append(rows, fmt.Sprintf("%v:%v/%v", out[0].Value(i), out[1].Value(i), out[2].Value(i)))
+		}
+		return fmt.Sprint(rows)
 	}
-	// Border cuts the scan.
-	got = nil
-	s.ScanVisibleCols([]int{0}, 2, snap, 0, func(pos int, vals []types.Value) bool {
-		got = append(got, vals[0].String())
-		return true
-	})
-	if len(got) != 2 {
-		t.Fatalf("bordered = %v", got)
+	want := "[1:b/0.5 2:a/1.5 3:NULL/2.5 5:a/4.5]"
+	if got := scan(s.Len(), 1024); got != want {
+		t.Fatalf("got %s, want %s", got, want)
 	}
-	// Early stop.
-	n := 0
-	s.ScanVisibleCols([]int{0}, s.Len(), snap, 0, func(int, []types.Value) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early stop = %d", n)
+	if got := scan(s.Len(), 1); got != want {
+		t.Fatalf("one row per fill: got %s, want %s", got, want)
+	}
+	if got := scan(2, 1024); got != "[1:b/0.5 2:a/1.5]" {
+		t.Fatalf("bordered = %s", got)
 	}
 }
 

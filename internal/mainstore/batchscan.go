@@ -18,6 +18,9 @@ type rangeFilter struct {
 	act [][]codeInterval
 }
 
+// codeInterval is a contiguous global-code interval.
+type codeInterval struct{ lo, hi uint32 }
+
 // BatchScan is the main store's producer for the vectorized read
 // path: it walks the part chain, block-decodes the compressed value
 // indexes, applies tombstone/MVCC visibility and code-interval
@@ -104,7 +107,10 @@ func (s *Store) NewBatchScan(cols []int, tomb *Tombstones, snap, self uint64) *B
 
 // FilterRange pushes down `col BETWEEN lo AND hi` (NULL bound =
 // unbounded), resolving the value range in every part's sorted
-// dictionary to global code intervals. Multiple calls conjoin.
+// dictionary to global code intervals — the split-main range scan of
+// Fig. 10: "the ranges are resolved in both dictionaries and the range
+// scan is performed on both structures … the scan is broken into two
+// partial ranges". Multiple calls conjoin.
 func (c *BatchScan) FilterRange(col int, lo, hi types.Value, loInc, hiInc bool) {
 	intervals := make([]codeInterval, len(c.s.parts))
 	valid := make([]bool, len(c.s.parts))

@@ -1,13 +1,19 @@
 package mainstore
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
 	"repro/internal/dict"
 	"repro/internal/mvcc"
 	"repro/internal/types"
+	"repro/internal/vec"
 )
+
+// genesisTS is the commit timestamp of rows loaded outside any
+// transaction.
+const genesisTS uint64 = 1
 
 func testSchema() *types.Schema {
 	return types.MustSchema([]types.Column{
@@ -76,7 +82,7 @@ func buildChain(t *testing.T, schema *types.Schema, groups ...[][]types.Value) *
 					codes[ci] = states[ci].lookup[v]
 				}
 			}
-			b.AppendRow(codes, nulls, rowID, mvcc.GenesisTS, false)
+			b.AppendRow(codes, nulls, rowID, genesisTS, false)
 			rowID++
 		}
 		parts = append(parts, b.Seal(true))
@@ -89,6 +95,28 @@ func buildChain(t *testing.T, schema *types.Schema, groups ...[][]types.Value) *
 }
 
 func rows(vals ...[]types.Value) [][]types.Value { return vals }
+
+// drainBatchScan fills c three rows at a time, so the cursor resumes
+// mid-block, and returns the rows it emitted.
+func drainBatchScan(c *BatchScan, kinds ...types.Kind) [][]types.Value {
+	out := make([]*vec.Col, len(kinds))
+	for i, k := range kinds {
+		out[i] = vec.NewCol(k)
+	}
+	n := 0
+	for more := true; more; {
+		var filled int
+		filled, more = c.Fill(out, 3)
+		n += filled
+	}
+	got := make([][]types.Value, n)
+	for i := range got {
+		for _, col := range out {
+			got[i] = append(got[i], col.Value(i))
+		}
+	}
+	return got
+}
 
 func r(id int64, city string) []types.Value {
 	if city == "" {
@@ -139,7 +167,7 @@ func TestChainCodeContinuationFig10(t *testing.T) {
 	// Active dictionary holds only the two new cities and continues
 	// the code space at n.
 	if p1.Dict(1).Len() != 2 {
-		t.Fatalf("active dict = %q", p1.Dict(1).DebugString())
+		t.Fatalf("active dict has %d entries", p1.Dict(1).Len())
 	}
 	if p1.CodeOffset(1) != 4 {
 		t.Errorf("active offset = %d, want 4", p1.CodeOffset(1))
@@ -160,36 +188,38 @@ func TestChainCodeContinuationFig10(t *testing.T) {
 	}
 }
 
+// TestRangeQueryAcrossChain runs Fig. 10's range query over a main
+// split into a passive and an active part on the batch scan, the read
+// path every query takes: the range is resolved to a code interval in
+// each part's dictionary, and the active part matches both its own
+// interval and the passive one its value index still references.
 func TestRangeQueryAcrossChain(t *testing.T) {
-	// Fig. 10's example: range C% .. L% over the split main.
 	s := buildChain(t, testSchema(),
 		rows(r(1, "Campbell"), r(2, "Daily City"), r(3, "Los Gatos"), r(4, "San Jose")),
 		rows(r(5, "Los Angeles"), r(6, "Campbell"), r(7, "San Francisco"), r(8, "Los Gatos")),
 	)
-	locs := s.ScanRange(1, types.Str("C"), types.Str("M"), true, false)
-	var got []types.RowID
-	for _, l := range locs {
-		got = append(got, s.RowID(l))
+	ids := func(lo, hi types.Value, loInc, hiInc bool) string {
+		c := s.NewBatchScan([]int{0}, NewTombstones(), genesisTS, 0)
+		c.FilterRange(1, lo, hi, loInc, hiInc)
+		return fmt.Sprint(drainBatchScan(c, types.KindInt64))
 	}
-	// Campbell(1), Daily City(2), Los Gatos(3), Los Angeles(5),
-	// Campbell(6), Los Gatos(8).
-	want := []types.RowID{1, 2, 3, 5, 6, 8}
-	if len(got) != len(want) {
-		t.Fatalf("range rows = %v, want %v", got, want)
+	// Range C% .. L%: Campbell(1), Daily City(2), Los Gatos(3), then
+	// Los Angeles(5), Campbell(6), Los Gatos(8) from the active part.
+	if got := ids(types.Str("C"), types.Str("M"), true, false); got != "[[1] [2] [3] [5] [6] [8]]" {
+		t.Errorf("range rows = %s", got)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("range rows = %v, want %v", got, want)
-		}
+	// A range hitting only the active dictionary.
+	if got := ids(types.Str("San A"), types.Str("San G"), true, true); got != "[[7]]" {
+		t.Errorf("active-only range = %s", got)
 	}
-	// Range hitting only the active dictionary.
-	locs = s.ScanRange(1, types.Str("San A"), types.Str("San G"), true, true)
-	if len(locs) != 1 || s.RowID(locs[0]) != 7 {
-		t.Errorf("active-only range = %v", locs)
+	// A range hitting only the passive dictionary (San Jose is not in
+	// the active one, and no active row references it).
+	if got := ids(types.Str("San J"), types.Str("San K"), true, true); got != "[[4]]" {
+		t.Errorf("passive-only range = %s", got)
 	}
-	// Empty range.
-	if locs = s.ScanRange(1, types.Str("Z"), types.Null, true, true); len(locs) != 0 {
-		t.Errorf("empty range = %v", locs)
+	// An empty range.
+	if got := ids(types.Str("Z"), types.Null, true, true); got != "[]" {
+		t.Errorf("empty range = %s", got)
 	}
 }
 
@@ -209,7 +239,7 @@ func TestResolveCodeAndCardinality(t *testing.T) {
 	}
 	g := s.GlobalDict(1)
 	if g.Len() != 3 || g.At(0).S != "a" || g.At(1).S != "b" || g.At(2).S != "c" {
-		t.Errorf("GlobalDict = %s", g.DebugString())
+		t.Errorf("GlobalDict has %d entries", g.Len())
 	}
 }
 
@@ -262,7 +292,7 @@ func TestScanVisible(t *testing.T) {
 	)
 	tomb := NewTombstones()
 	var ids []types.RowID
-	s.ScanVisible(tomb, mvcc.GenesisTS, 0, func(l Loc) bool {
+	s.ScanVisible(tomb, genesisTS, 0, func(l Loc) bool {
 		ids = append(ids, s.RowID(l))
 		return true
 	})
@@ -270,7 +300,7 @@ func TestScanVisible(t *testing.T) {
 		t.Fatalf("scan = %v", ids)
 	}
 	n := 0
-	s.ScanVisible(tomb, mvcc.GenesisTS, 0, func(Loc) bool { n++; return false })
+	s.ScanVisible(tomb, genesisTS, 0, func(Loc) bool { n++; return false })
 	if n != 1 {
 		t.Errorf("early stop scanned %d", n)
 	}
@@ -370,7 +400,9 @@ func TestEmptyStore(t *testing.T) {
 	if got := s.PointLookup(1, types.Str("x")); got != nil {
 		t.Errorf("lookup on empty = %v", got)
 	}
-	if got := s.ScanRange(0, types.Int(0), types.Int(9), true, true); len(got) != 0 {
+	c := s.NewBatchScan([]int{0}, NewTombstones(), genesisTS, 0)
+	c.FilterRange(0, types.Int(0), types.Int(9), true, true)
+	if got := drainBatchScan(c, types.KindInt64); len(got) != 0 {
 		t.Errorf("range on empty = %v", got)
 	}
 	if s.GlobalDict(0).Len() != 0 {

@@ -92,15 +92,6 @@ func (p *Part) hasTombstone(pos int) bool {
 	return p.deleted[pos/64].Load()&(1<<(pos%64)) != 0
 }
 
-// ColumnBytes approximates the heap footprint of one column's
-// dictionary, value index, and null bitmap (excluding inverted
-// indexes and per-row metadata) — the quantity the compression
-// techniques of §3/§4.2 act on.
-func (p *Part) ColumnBytes(col int) int {
-	c := p.cols[col]
-	return c.dict.MemSize() + c.values.MemSize() + len(c.nulls)*8
-}
-
 // MemSize approximates the heap footprint in bytes.
 func (p *Part) MemSize() int {
 	n := 64 + len(p.rowIDs)*8 + len(p.createTS)*8 + len(p.deleted)*8

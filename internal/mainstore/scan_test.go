@@ -54,32 +54,40 @@ func chainFixture(t *testing.T) (*Store, *Tombstones, *mvcc.Manager) {
 	return s, tomb, m
 }
 
+// TestScanVisibleColsMatchesValue checks the batch scan's block decoding
+// against per-cell Value over a two-part chain with NULLs and a
+// tombstone, unfiltered and with a pushed-down range whose interval
+// includes code 0, which NULL cells also carry.
 func TestScanVisibleColsMatchesValue(t *testing.T) {
 	s, tomb, m := chainFixture(t)
 	snap := m.LastCommitted()
-	var got []string
-	s.ScanVisibleCols([]int{1, 3}, tomb, snap, 0, func(loc Loc, vals []types.Value) bool {
-		got = append(got, fmt.Sprintf("%d:%v/%v", s.RowID(loc), vals[0], vals[1]))
-		return true
-	})
-	var want []string
+	var want, wantAtoC []string
 	s.ScanVisible(tomb, snap, 0, func(loc Loc) bool {
-		want = append(want, fmt.Sprintf("%d:%v/%v", s.RowID(loc), s.Value(loc, 1), s.Value(loc, 3)))
+		row := fmt.Sprint([]types.Value{s.Value(loc, 1), s.Value(loc, 3)})
+		want = append(want, row)
+		if city := s.Value(loc, 1); !city.IsNull() && city.S <= "c" {
+			wantAtoC = append(wantAtoC, row)
+		}
 		return true
 	})
-	if len(got) != 7 || len(want) != 7 {
-		t.Fatalf("got %d rows, want 7", len(got))
+	if len(want) != 7 {
+		t.Fatalf("ScanVisible saw %d rows, want 7", len(want))
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("row %d: %s vs %s", i, got[i], want[i])
+	render := func(rows [][]types.Value) []string {
+		var out []string
+		for _, r := range rows {
+			out = append(out, fmt.Sprint(r))
 		}
+		return out
 	}
-	// Early stop.
-	n := 0
-	s.ScanVisibleCols([]int{0}, tomb, snap, 0, func(Loc, []types.Value) bool { n++; return false })
-	if n != 1 {
-		t.Errorf("early stop = %d", n)
+	c := s.NewBatchScan([]int{1, 3}, tomb, snap, 0)
+	if got := render(drainBatchScan(c, types.KindString, types.KindFloat64)); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("batch scan = %v, want %v", got, want)
+	}
+	c = s.NewBatchScan([]int{1, 3}, tomb, snap, 0)
+	c.FilterRange(1, types.Str("a"), types.Str("c"), true, true)
+	if got := render(drainBatchScan(c, types.KindString, types.KindFloat64)); fmt.Sprint(got) != fmt.Sprint(wantAtoC) {
+		t.Errorf("filtered batch scan = %v, want %v", got, wantAtoC)
 	}
 }
 
@@ -158,15 +166,19 @@ func TestMarkDeletedByRowID(t *testing.T) {
 	}
 }
 
+// TestColumnBytesAndMemSize checks that MemSize covers every column's
+// dictionary, value index and null bitmap in every part.
 func TestColumnBytesAndMemSize(t *testing.T) {
 	s, _, _ := chainFixture(t)
 	total := 0
-	for ci := 0; ci < 4; ci++ {
-		b := s.ColumnBytes(ci)
-		if b <= 0 {
-			t.Fatalf("ColumnBytes(%d) = %d", ci, b)
+	for _, p := range s.parts {
+		for ci, c := range p.cols {
+			b := c.dict.MemSize() + c.values.MemSize() + len(c.nulls)*8
+			if b <= 0 {
+				t.Fatalf("column %d bytes = %d", ci, b)
+			}
+			total += b
 		}
-		total += b
 	}
 	if s.MemSize() < total {
 		t.Fatalf("MemSize %d < column bytes %d", s.MemSize(), total)

@@ -178,75 +178,12 @@ func (s *Store) PointLookup(col int, v types.Value) []Loc {
 	return out
 }
 
-// codeInterval is a contiguous global-code interval.
-type codeInterval struct{ lo, hi uint32 }
-
-// ScanRange returns the locations whose column value lies in
-// [lo, hi] (NULL bound = unbounded), implementing the split-main range
-// scan of Fig. 10: "the ranges are resolved in both dictionaries and
-// the range scan is performed on both structures … the scan is broken
-// into two partial ranges".
-func (s *Store) ScanRange(col int, lo, hi types.Value, loInc, hiInc bool) []Loc {
-	// Resolve the value range in every part's local dictionary.
-	intervals := make([]codeInterval, len(s.parts))
-	valid := make([]bool, len(s.parts))
-	for pi, p := range s.parts {
-		c := p.cols[col]
-		l, h, ok := c.dict.RangeCodes(lo, hi, loInc, hiInc)
-		if ok {
-			intervals[pi] = codeInterval{c.offset + l, c.offset + h}
-			valid[pi] = true
-		}
-	}
-	var out []Loc
-	for pi, p := range s.parts {
-		c := p.cols[col]
-		// Part pi may reference the code intervals of parts 0..pi.
-		var act []codeInterval
-		for j := 0; j <= pi; j++ {
-			if valid[j] {
-				act = append(act, intervals[j])
-			}
-		}
-		switch len(act) {
-		case 0:
-			continue
-		case 1:
-			for _, pos := range c.values.ScanRange(act[0].lo, act[0].hi, 0, p.NumRows(), nil) {
-				if act[0].lo == 0 && p.IsNull(pos, col) {
-					continue
-				}
-				out = append(out, Loc{Part: pi, Pos: pos})
-			}
-		default:
-			// Multiple partial ranges: one block-decode pass testing
-			// each code against the (disjoint) intervals.
-			buf := make([]uint32, 1024)
-			n := p.NumRows()
-			for start := 0; start < n; {
-				k := c.values.DecodeBlock(start, buf)
-				for i := 0; i < k; i++ {
-					code := buf[i]
-					for _, iv := range act {
-						if code >= iv.lo && code <= iv.hi {
-							if code == 0 && p.IsNull(start+i, col) {
-								break
-							}
-							out = append(out, Loc{Part: pi, Pos: start + i})
-							break
-						}
-					}
-				}
-				start += k
-			}
-		}
-	}
-	return out
-}
-
-// ScanVisibleGroupCodes is ScanVisibleCols plus the raw global
-// dictionary code of one grouping column (-1 for NULL), enabling
-// code-level grouping (§4.1).
+// ScanVisibleGroupCodes streams the data columns of every visible row
+// in chain order, decoding block-at-a-time through the compressed
+// encodings and caching dictionary lookups per code, plus the raw
+// global dictionary code of one grouping column (-1 for NULL),
+// enabling code-level grouping (§4.1). vals is reused across calls;
+// fn must not retain it.
 func (s *Store) ScanVisibleGroupCodes(groupCol int, dataCols []int, tomb *Tombstones, snap, self uint64,
 	fn func(loc Loc, code int32, vals []types.Value) bool) {
 	const block = 1024
@@ -312,58 +249,6 @@ func (s *Store) ScanVisible(tomb *Tombstones, snap, self uint64, fn func(loc Loc
 	}
 }
 
-// ScanVisibleCols streams the selected columns of every visible row
-// in chain order, materializing values block-at-a-time through the
-// compressed encodings and caching dictionary lookups per code — the
-// vectorized scan path of §3.1 that makes the main store the fastest
-// stage for column scans (Fig. 11). vals is reused across calls; fn
-// must not retain it.
-func (s *Store) ScanVisibleCols(cols []int, tomb *Tombstones, snap, self uint64, fn func(loc Loc, vals []types.Value) bool) {
-	const block = 1024
-	// Per-column lazy dictionary cache over the global code space.
-	caches := make([][]types.Value, len(cols))
-	cached := make([][]bool, len(cols))
-	for i, c := range cols {
-		card := s.Cardinality(c)
-		caches[i] = make([]types.Value, card)
-		cached[i] = make([]bool, card)
-	}
-	bufs := make([][block]uint32, len(cols))
-	vals := make([]types.Value, len(cols))
-	for pi, p := range s.parts {
-		n := p.NumRows()
-		for start := 0; start < n; start += block {
-			end := start + block
-			if end > n {
-				end = n
-			}
-			for i, c := range cols {
-				p.cols[c].values.DecodeBlock(start, bufs[i][:end-start])
-			}
-			for pos := start; pos < end; pos++ {
-				if !p.visibleAt(pos, tomb, snap, self) {
-					continue
-				}
-				for i, c := range cols {
-					if p.IsNull(pos, c) {
-						vals[i] = types.Null
-						continue
-					}
-					code := bufs[i][pos-start]
-					if !cached[i][code] {
-						caches[i][code] = s.ResolveCode(c, code)
-						cached[i][code] = true
-					}
-					vals[i] = caches[i][code]
-				}
-				if !fn(Loc{Part: pi, Pos: pos}, vals) {
-					return
-				}
-			}
-		}
-	}
-}
-
 // GlobalDict returns a merged, sorted view over the chain's local
 // dictionaries of a column (for the unified-table global dictionary
 // iterator, §3.1). For a single-part store it returns the part's
@@ -380,15 +265,6 @@ func (s *Store) GlobalDict(col int) *dict.Sorted {
 		merged, _, _ = dict.MergeSorted(merged, p.cols[col].dict)
 	}
 	return merged
-}
-
-// ColumnBytes sums Part.ColumnBytes across the chain.
-func (s *Store) ColumnBytes(col int) int {
-	n := 0
-	for _, p := range s.parts {
-		n += p.ColumnBytes(col)
-	}
-	return n
 }
 
 // MemSize approximates the heap footprint in bytes.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/mainstore"
 	"repro/internal/mvcc"
 	"repro/internal/types"
+	"repro/internal/vec"
 )
 
 func testSchema() *types.Schema {
@@ -205,7 +206,7 @@ func TestClassicFirstMerge(t *testing.T) {
 	// Sorted dictionary: Campbell < Los Gatos.
 	d := main.Parts()[0].Dict(1)
 	if d.Len() != 2 || d.At(0).S != "Campbell" {
-		t.Errorf("dict = %s", d.DebugString())
+		t.Errorf("dict has %d entries", d.Len())
 	}
 	// NULL preserved.
 	locs := main.PointLookup(0, types.Int(2))
@@ -240,11 +241,11 @@ func TestClassicMergeWithExistingMainPaperExample(t *testing.T) {
 	d := merged.Parts()[0].Dict(1)
 	want := []string{"Campbell", "Daily City", "Los Gatos", "San Francisco", "San Jose"}
 	if d.Len() != len(want) {
-		t.Fatalf("dict = %s", d.DebugString())
+		t.Fatalf("dict has %d entries", d.Len())
 	}
 	for i, w := range want {
-		if d.At(uint32(i)).S != w {
-			t.Fatalf("dict = %s", d.DebugString())
+		if got := d.At(uint32(i)).S; got != w {
+			t.Fatalf("dict[%d] = %q, want %q", i, got, w)
 		}
 	}
 	if stats.FastPaths[1] != dict.FastPathNone {
@@ -481,16 +482,18 @@ func TestPartialMergeKeepsPassiveUntouched(t *testing.T) {
 		t.Fatalf("second partial: parts=%d", split2.NumParts())
 	}
 	if split2.Parts()[1].Dict(1).Len() != 3 { // LA, Oakland, SF
-		t.Errorf("active dict = %q", split2.Parts()[1].Dict(1).DebugString())
+		t.Errorf("active dict has %d entries", split2.Parts()[1].Dict(1).Len())
 	}
 	// Range query C..M across the chain (Fig. 10).
-	locs := split2.ScanRange(1, types.Str("C"), types.Str("M"), true, false)
-	var ids []types.RowID
-	for _, l := range locs {
-		ids = append(ids, split2.RowID(l))
+	cur := split2.NewBatchScan([]int{0}, tombs, m.LastCommitted(), 0)
+	cur.FilterRange(1, types.Str("C"), types.Str("M"), true, false)
+	idCol := vec.NewCol(types.KindInt64)
+	for more := true; more; {
+		_, more = cur.Fill([]*vec.Col{idCol}, 1024)
 	}
+	ids := idCol.Ints
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	want := []types.RowID{1, 2, 3, 5, 6, 9}
+	want := []int64{1, 2, 3, 5, 6, 9}
 	if fmt.Sprint(ids) != fmt.Sprint(want) {
 		t.Errorf("range ids = %v, want %v", ids, want)
 	}

@@ -178,10 +178,6 @@ func NewManager() *Manager {
 // snapshot reads everything up to and including it.
 func (m *Manager) LastCommitted() uint64 { return m.lastCommitted.Load() }
 
-// GenesisTS is the commit timestamp of data loaded outside any
-// transaction (recovery, bootstrap).
-const GenesisTS uint64 = 1
-
 // Begin starts a transaction at the given isolation level.
 func (m *Manager) Begin(level IsolationLevel) *Txn {
 	t := &Txn{
@@ -213,13 +209,6 @@ func (m *Manager) Watermark() uint64 {
 		}
 	}
 	return min
-}
-
-// ActiveCount returns the number of in-flight transactions.
-func (m *Manager) ActiveCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.active)
 }
 
 // Bump advances the last-committed timestamp to at least ts; recovery
@@ -265,15 +254,6 @@ type Txn struct {
 
 // ID returns the transaction id.
 func (t *Txn) ID() uint64 { return t.id }
-
-// State returns the transaction state.
-func (t *Txn) State() State { return t.state }
-
-// CommitTS returns the commit timestamp (0 unless committed).
-func (t *Txn) CommitTS() uint64 { return t.commitTS }
-
-// Level returns the isolation level.
-func (t *Txn) Level() IsolationLevel { return t.level }
 
 // Marker returns the stamp marker identifying this transaction's
 // uncommitted versions.

@@ -67,7 +67,7 @@ func TestCommitMakesWritesVisibleAtomically(t *testing.T) {
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if w.CommitTS() == 0 || w.State() != StateCommitted {
+	if w.commitTS == 0 || w.state != StateCommitted {
 		t.Error("commit bookkeeping wrong")
 	}
 	// Old snapshot still must not see it.
@@ -199,11 +199,11 @@ func TestCommitNotActiveAndDoubleAbort(t *testing.T) {
 	tx2 := m.Begin(TxnSnapshot)
 	tx2.Abort()
 	tx2.Abort() // must be a no-op
-	if tx2.State() != StateAborted {
+	if tx2.state != StateAborted {
 		t.Error("double abort changed state")
 	}
-	if m.ActiveCount() != 0 {
-		t.Errorf("ActiveCount = %d", m.ActiveCount())
+	if len(m.active) != 0 {
+		t.Errorf("ActiveCount = %d", len(m.active))
 	}
 }
 
@@ -219,8 +219,8 @@ func TestBump(t *testing.T) {
 	}
 	tx := m.Begin(TxnSnapshot)
 	tx.Commit()
-	if tx.CommitTS() != 101 {
-		t.Errorf("commit ts after bump = %d", tx.CommitTS())
+	if tx.commitTS != 101 {
+		t.Errorf("commit ts after bump = %d", tx.commitTS)
 	}
 }
 

@@ -170,8 +170,8 @@ func TestTracerRing(t *testing.T) {
 	if got := r.Events(2); len(got) != 2 || got[1].Rows != 9 {
 		t.Fatalf("Events(2) = %+v", got)
 	}
-	if r.TraceSeq() != 10 {
-		t.Fatalf("TraceSeq = %d", r.TraceSeq())
+	if r.tracer.seq != 10 {
+		t.Fatalf("trace seq = %d", r.tracer.seq)
 	}
 }
 

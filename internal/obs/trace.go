@@ -196,17 +196,6 @@ func (r *Registry) Trace(e Event) {
 	r.tracer.add(e)
 }
 
-// TraceSeq returns the total number of events recorded so far
-// (including ones the ring has already overwritten).
-func (r *Registry) TraceSeq() uint64 {
-	if !r.Enabled() {
-		return 0
-	}
-	r.tracer.mu.Lock()
-	defer r.tracer.mu.Unlock()
-	return r.tracer.seq
-}
-
 // Events returns up to n most recent lifecycle events, oldest first
 // (n <= 0 returns everything the ring retains).
 func (r *Registry) Events(n int) []Event {

@@ -43,12 +43,6 @@ func (e *Encoder) Str(s string) {
 	e.b.WriteString(s)
 }
 
-// Bytes0 writes a length-prefixed byte slice.
-func (e *Encoder) Bytes0(p []byte) {
-	e.U64(uint64(len(p)))
-	e.b.Write(p)
-}
-
 // U64s writes a length-prefixed slice of unsigned integers.
 func (e *Encoder) U64s(vs []uint64) {
 	e.U64(uint64(len(vs)))
@@ -112,20 +106,6 @@ func (d *Decoder) Str() (string, error) {
 		return "", fmt.Errorf("persist: string length %d exceeds buffer", n)
 	}
 	return string(d.b.Next(int(n))), nil
-}
-
-// Bytes0 reads a length-prefixed byte slice.
-func (d *Decoder) Bytes0() ([]byte, error) {
-	n, err := d.U64()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(d.b.Len()) {
-		return nil, fmt.Errorf("persist: slice length %d exceeds buffer", n)
-	}
-	out := make([]byte, n)
-	copy(out, d.b.Next(int(n)))
-	return out, nil
 }
 
 // U64s reads a length-prefixed slice of unsigned integers.

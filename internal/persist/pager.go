@@ -65,15 +65,10 @@ type fileEntry struct {
 	length int64
 }
 
-// Open opens (or creates) a pager-backed store on the real file
-// system. pageSize is only used when creating; an existing store
-// keeps its configured size.
-func Open(path string, pageSize int) (*Pager, error) {
-	return OpenFS(vfs.OS, path, pageSize)
-}
-
-// OpenFS is Open on an explicit file system (fault injection, in-
-// memory stores).
+// OpenFS opens (or creates) a pager-backed store at path on fsys (the
+// real file system, fault injection, in-memory stores). pageSize is
+// only used when creating; an existing store keeps its configured
+// size.
 func OpenFS(fsys vfs.FS, path string, pageSize int) (*Pager, error) {
 	if pageSize <= 0 {
 		pageSize = defaultPageSz
@@ -105,9 +100,6 @@ func OpenFS(fsys vfs.FS, path string, pageSize int) (*Pager, error) {
 	}
 	return p, nil
 }
-
-// PageSize returns the configured page size.
-func (p *Pager) PageSize() int { return p.pageSize }
 
 // Generation returns the committed savepoint generation.
 func (p *Pager) Generation() uint64 { return p.gen }
@@ -355,11 +347,6 @@ func (p *Pager) WriteFile(name string, data []byte) error {
 	return nil
 }
 
-// DeleteFile stages removal of a virtual file.
-func (p *Pager) DeleteFile(name string) {
-	p.pendingDir[name] = fileEntry{root: -1, length: -1}
-}
-
 // ReadFile returns the committed content of a virtual file.
 func (p *Pager) ReadFile(name string) ([]byte, error) {
 	e, ok := p.dir[name]
@@ -373,16 +360,6 @@ func (p *Pager) ReadFile(name string) ([]byte, error) {
 func (p *Pager) HasFile(name string) bool {
 	_, ok := p.dir[name]
 	return ok
-}
-
-// Files lists committed virtual file names, sorted.
-func (p *Pager) Files() []string {
-	out := make([]string, 0, len(p.dir))
-	for n := range p.dir {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Commit atomically publishes all staged writes as the next
@@ -442,12 +419,6 @@ func (p *Pager) Rollback() {
 	p.pendingNew = nil
 	p.pendingDir = map[string]fileEntry{}
 }
-
-// NumPages returns the file's page count (high-water mark).
-func (p *Pager) NumPages() int64 { return p.nextPage }
-
-// FreePages returns the reusable page count.
-func (p *Pager) FreePages() int { return len(p.free) }
 
 // Close closes the backing file without committing staged writes.
 func (p *Pager) Close() error {

@@ -10,12 +10,13 @@ import (
 	"testing/quick"
 
 	"repro/internal/types"
+	"repro/internal/vfs"
 )
 
 func openTestPager(t *testing.T, pageSize int) (*Pager, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "data.db")
-	p, err := Open(path, pageSize)
+	p, err := OpenFS(vfs.OS, path, pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +44,8 @@ func TestWriteCommitRead(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("ReadFile = %q", got)
 	}
-	if files := p.Files(); len(files) != 1 || files[0] != "a" {
-		t.Errorf("Files = %v", files)
+	if len(p.dir) != 1 || !p.HasFile("a") {
+		t.Errorf("dir = %v", p.dir)
 	}
 }
 
@@ -71,7 +72,7 @@ func TestMultiPageChains(t *testing.T) {
 
 func TestReopenRestoresState(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "data.db")
-	p, err := Open(path, 256)
+	p, err := OpenFS(vfs.OS, path, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,13 +84,13 @@ func TestReopenRestoresState(t *testing.T) {
 	gen := p.Generation()
 	p.Close()
 
-	p2, err := Open(path, 0) // page size read from superblock
+	p2, err := OpenFS(vfs.OS, path, 0) // page size read from superblock
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	if p2.PageSize() != 256 {
-		t.Errorf("PageSize = %d", p2.PageSize())
+	if p2.pageSize != 256 {
+		t.Errorf("PageSize = %d", p2.pageSize)
 	}
 	if p2.Generation() != gen {
 		t.Errorf("Generation = %d, want %d", p2.Generation(), gen)
@@ -105,7 +106,7 @@ func TestReopenRestoresState(t *testing.T) {
 
 func TestShadowPagingCrashBeforeCommit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "data.db")
-	p, err := Open(path, 256)
+	p, err := OpenFS(vfs.OS, path, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestShadowPagingCrashBeforeCommit(t *testing.T) {
 	p.WriteFile("t", []byte("generation-2-unpublished"))
 	p.Close()
 
-	p2, err := Open(path, 0)
+	p2, err := OpenFS(vfs.OS, path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestPageReuseAfterReplace(t *testing.T) {
 	if err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	high := p.NumPages()
+	high := p.nextPage
 	// Replace the file several times: the footprint must not grow
 	// linearly because replaced chains return to the free list.
 	for i := 0; i < 10; i++ {
@@ -148,8 +149,8 @@ func TestPageReuseAfterReplace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if p.NumPages() > high*3 {
-		t.Errorf("pages grew from %d to %d: free list not reused", high, p.NumPages())
+	if p.nextPage > high*3 {
+		t.Errorf("pages grew from %d to %d: free list not reused", high, p.nextPage)
 	}
 	got, _ := p.ReadFile("f")
 	if !bytes.Equal(got, big) {
@@ -177,7 +178,7 @@ func TestRollbackDiscardsStaged(t *testing.T) {
 	defer p.Close()
 	p.WriteFile("keep", []byte("v1"))
 	p.Commit()
-	free := p.FreePages()
+	free := len(p.free)
 	p.WriteFile("keep", []byte("v2"))
 	p.WriteFile("new", []byte("x"))
 	p.Rollback()
@@ -187,7 +188,7 @@ func TestRollbackDiscardsStaged(t *testing.T) {
 	if p.HasFile("new") {
 		t.Error("rolled-back file visible")
 	}
-	if p.FreePages() < free {
+	if len(p.free) < free {
 		t.Error("rollback lost pages")
 	}
 }
@@ -211,14 +212,14 @@ func TestEmptyFileAndMissing(t *testing.T) {
 
 func TestRejectsTinyPageSize(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.db")
-	if _, err := Open(path, 64); err == nil {
+	if _, err := OpenFS(vfs.OS, path, 64); err == nil {
 		t.Error("page size below minimum accepted")
 	}
 }
 
 func TestCorruptSuperblockFallsBack(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "data.db")
-	p, _ := Open(path, 256)
+	p, _ := OpenFS(vfs.OS, path, 256)
 	p.WriteFile("f", []byte("gen1"))
 	p.Commit() // gen 1 → slot 1
 	p.WriteFile("f", []byte("gen2"))
@@ -230,7 +231,7 @@ func TestCorruptSuperblockFallsBack(t *testing.T) {
 	data[10] ^= 0xFF
 	os.WriteFile(path, data, 0o644)
 
-	p2, err := Open(path, 0)
+	p2, err := OpenFS(vfs.OS, path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestCorruptSuperblockFallsBack(t *testing.T) {
 
 func TestManyFilesSurviveReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "data.db")
-	p, _ := Open(path, 256)
+	p, _ := OpenFS(vfs.OS, path, 256)
 	rng := rand.New(rand.NewSource(9))
 	want := map[string][]byte{}
 	for i := 0; i < 40; i++ {
@@ -259,7 +260,7 @@ func TestManyFilesSurviveReopen(t *testing.T) {
 	p.Commit()
 	p.Close()
 
-	p2, err := Open(path, 0)
+	p2, err := OpenFS(vfs.OS, path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,6 @@ func TestEncoderDecoderRoundtrip(t *testing.T) {
 	e.Bool(true)
 	e.Bool(false)
 	e.Str("snapshot")
-	e.Bytes0([]byte{1, 2, 3})
 	e.U64s([]uint64{9, 8, 7})
 	e.U32s([]uint32{4, 5})
 	vals := []types.Value{types.Int(-1), types.Float(2.5), types.Str("x"), types.Null, types.Bool(true), types.Date(100)}
@@ -305,9 +305,6 @@ func TestEncoderDecoderRoundtrip(t *testing.T) {
 	}
 	if s, _ := d.Str(); s != "snapshot" {
 		t.Errorf("Str = %q", s)
-	}
-	if p, _ := d.Bytes0(); !bytes.Equal(p, []byte{1, 2, 3}) {
-		t.Errorf("Bytes0 = %v", p)
 	}
 	if u, _ := d.U64s(); !reflect.DeepEqual(u, []uint64{9, 8, 7}) {
 		t.Errorf("U64s = %v", u)
@@ -337,8 +334,8 @@ func TestDecoderRejectsCorruptLengths(t *testing.T) {
 		t.Error("corrupt string length accepted")
 	}
 	d2 := NewDecoder(e.Bytes())
-	if _, err := d2.Bytes0(); err == nil {
-		t.Error("corrupt bytes length accepted")
+	if _, err := d2.U64s(); err == nil {
+		t.Error("corrupt slice length accepted")
 	}
 }
 

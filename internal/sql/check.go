@@ -34,7 +34,7 @@ type CompiledStmt struct {
 	// OutCols names the result columns of a SELECT (nil for DML).
 	OutCols []string
 
-	scope *scope     // SELECT: resolved FROM/JOIN tables
+	scope *scope      // SELECT: resolved FROM/JOIN tables
 	table *core.Table // DML: the target table
 }
 
@@ -109,16 +109,6 @@ func (s *scope) resolve(ref *ColumnRef) error {
 		return errAt(0, "unknown column %q", ref.Name)
 	}
 	return nil
-}
-
-// columnKind returns the kind of global ordinal idx.
-func (s *scope) columnKind(idx int) types.Kind {
-	for _, t := range s.tables {
-		if idx >= t.offset && idx < t.offset+t.schema.NumColumns() {
-			return t.schema.Columns[idx-t.offset].Kind
-		}
-	}
-	return types.KindInvalid
 }
 
 // checker runs the semantic pass: name resolution, literal coercion,

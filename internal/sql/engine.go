@@ -53,9 +53,6 @@ func NewEngine(db *core.Database, defaults core.TableConfig) *Engine {
 	}
 }
 
-// DB returns the underlying database.
-func (e *Engine) DB() *core.Database { return e.db }
-
 // Result is the outcome of one statement.
 type Result struct {
 	// Cols names the result columns (nil for DML).
@@ -111,14 +108,6 @@ func (e *Engine) compile(text string) (*CompiledStmt, error) {
 	return cs, nil
 }
 
-// Exec compiles and runs one statement. With tx == nil, queries read
-// their own statement snapshot and DML autocommits; with a session
-// transaction, everything runs inside it (multi-statement SQL in
-// BEGIN/COMMIT sessions).
-func (e *Engine) Exec(tx *mvcc.Txn, text string, params ...types.Value) (*Result, error) {
-	return e.ExecCtx(context.Background(), tx, text, params...)
-}
-
 // Prepared is a reusable handle to a compiled statement.
 type Prepared struct {
 	cs  *CompiledStmt
@@ -139,14 +128,6 @@ func (p *Prepared) NumParams() int { return p.cs.NumParams }
 
 // ParamKinds returns the inferred placeholder kinds in lexical order.
 func (p *Prepared) ParamKinds() []types.Kind { return p.cs.ParamKinds }
-
-// Columns returns the result column names (nil for DML).
-func (p *Prepared) Columns() []string { return p.cs.OutCols }
-
-// Exec runs the prepared statement with the given parameter values.
-func (p *Prepared) Exec(tx *mvcc.Txn, params ...types.Value) (*Result, error) {
-	return p.ExecCtx(context.Background(), tx, params...)
-}
 
 func (e *Engine) execCompiled(ctx context.Context, tx *mvcc.Txn, cs *CompiledStmt, params []types.Value, so *stmtObs) (*Result, error) {
 	if err := ctx.Err(); err != nil {

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -23,7 +24,7 @@ func testEngine(t testing.TB, defaults core.TableConfig) *Engine {
 
 func mustExec(t testing.TB, e *Engine, tx *mvcc.Txn, text string, params ...types.Value) *Result {
 	t.Helper()
-	res, err := e.Exec(tx, text, params...)
+	res, err := e.ExecCtx(context.Background(), tx, text, params...)
 	if err != nil {
 		t.Fatalf("Exec(%q): %v", text, err)
 	}
@@ -47,7 +48,7 @@ func ordersEngine(t testing.TB, defaults core.TableConfig, rows int) *Engine {
 		t.Fatal(err)
 	}
 	for i := 0; i < rows; i++ {
-		_, err := ins.Exec(nil,
+		_, err := ins.ExecCtx(context.Background(), nil,
 			types.Int(int64(i)),
 			types.Str(fmt.Sprintf("cust-%d", i%7)),
 			types.Str(regions[i%3]),
@@ -228,7 +229,7 @@ func TestPrepareAndPlanCache(t *testing.T) {
 		t.Errorf("params = %d %v", p.NumParams(), p.ParamKinds())
 	}
 	for i := int64(0); i < 5; i++ {
-		res, err := p.Exec(nil, types.Int(i))
+		res, err := p.ExecCtx(context.Background(), nil, types.Int(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,14 +256,14 @@ func TestPrepareAndPlanCache(t *testing.T) {
 		t.Errorf("coerced param query returned %v", res.Rows)
 	}
 	// Arity mismatch surfaces as an error.
-	if _, err := e.Exec(nil, "SELECT id FROM orders WHERE id = ?"); err == nil {
+	if _, err := e.ExecCtx(context.Background(), nil, "SELECT id FROM orders WHERE id = ?"); err == nil {
 		t.Error("expected arity error")
 	}
 }
 
 func TestTransactionScope(t *testing.T) {
 	e := ordersEngine(t, core.TableConfig{}, 5)
-	db := e.DB()
+	db := e.db
 
 	// Aborted transaction leaves no trace.
 	tx := db.Begin(mvcc.TxnSnapshot)
@@ -296,30 +297,30 @@ func TestCheckErrors(t *testing.T) {
 	bad := []string{
 		"SELECT nope FROM orders",
 		"SELECT id FROM nope",
-		"SELECT o.id FROM orders",                                    // unknown qualifier
-		"SELECT id FROM orders WHERE region > 5",                     // kind mismatch
-		"SELECT id FROM orders WHERE id",                             // non-boolean WHERE
-		"SELECT id, COUNT(*) FROM orders",                            // bare col in aggregate query
-		"SELECT SUM(region) FROM orders",                             // SUM over string
-		"SELECT id FROM orders ORDER BY nope",                        // unresolved order key
-		"SELECT id FROM orders ORDER BY 3",                           // position out of range
-		"SELECT SUM(id + 1) FROM orders",                             // non-column agg arg
-		"INSERT INTO orders VALUES (1, 'a', 'b', 2)",                 // arity
-		"INSERT INTO orders (id, id) VALUES (1, 2)",                  // dup column
-		"INSERT INTO orders VALUES (1, 'a', 'b', 'x', 1.0)",          // kind mismatch
-		"UPDATE orders SET nope = 1",                                 // unknown set column
-		"SELECT id FROM orders WHERE id = ? AND region = ?1",         // bad token
+		"SELECT o.id FROM orders",                                      // unknown qualifier
+		"SELECT id FROM orders WHERE region > 5",                       // kind mismatch
+		"SELECT id FROM orders WHERE id",                               // non-boolean WHERE
+		"SELECT id, COUNT(*) FROM orders",                              // bare col in aggregate query
+		"SELECT SUM(region) FROM orders",                               // SUM over string
+		"SELECT id FROM orders ORDER BY nope",                          // unresolved order key
+		"SELECT id FROM orders ORDER BY 3",                             // position out of range
+		"SELECT SUM(id + 1) FROM orders",                               // non-column agg arg
+		"INSERT INTO orders VALUES (1, 'a', 'b', 2)",                   // arity
+		"INSERT INTO orders (id, id) VALUES (1, 2)",                    // dup column
+		"INSERT INTO orders VALUES (1, 'a', 'b', 'x', 1.0)",            // kind mismatch
+		"UPDATE orders SET nope = 1",                                   // unknown set column
+		"SELECT id FROM orders WHERE id = ? AND region = ?1",           // bad token
 		"SELECT a.id FROM orders AS a JOIN orders AS a ON a.id = a.id", // dup alias
-		"SELECT id FROM orders AS a JOIN orders AS b ON a.id < b.id", // non-equality join
+		"SELECT id FROM orders AS a JOIN orders AS b ON a.id < b.id",   // non-equality join
 		"CREATE TABLE t2 (a BIGINT PRIMARY KEY, b BIGINT PRIMARY KEY)",
 	}
 	for _, in := range bad {
-		if _, err := e.Exec(nil, in); err == nil {
+		if _, err := e.ExecCtx(context.Background(), nil, in); err == nil {
 			t.Errorf("Exec(%q): expected error, got none", in)
 		}
 	}
 	// Unresolvable parameter kind.
-	if _, err := e.Exec(nil, "SELECT id FROM orders WHERE ? = ?"); err == nil {
+	if _, err := e.ExecCtx(context.Background(), nil, "SELECT id FROM orders WHERE ? = ?"); err == nil {
 		t.Error("expected parameter-inference error")
 	}
 }
@@ -337,7 +338,7 @@ func TestDateCoercion(t *testing.T) {
 	if res.Rows[0][0].I != 2 {
 		t.Errorf("date param count = %v", res.Rows)
 	}
-	if _, err := e.Exec(nil, "SELECT id FROM events WHERE day = 'not-a-date'"); err == nil {
+	if _, err := e.ExecCtx(context.Background(), nil, "SELECT id FROM events WHERE day = 'not-a-date'"); err == nil {
 		t.Error("expected bad-date error")
 	}
 }
@@ -349,7 +350,7 @@ func TestDateCoercion(t *testing.T) {
 func TestSQLGroupByUsesMorselParallelPath(t *testing.T) {
 	defaults := core.TableConfig{ScanWorkers: 4, ScanMorselRows: 64}
 	e := ordersEngine(t, defaults, 600)
-	reg := e.DB().Metrics()
+	reg := e.db.Metrics()
 	counter := reg.Counter("hana_parallel_scans_total", obs.L("table", "orders"))
 
 	before := counter.Value()

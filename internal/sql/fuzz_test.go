@@ -37,10 +37,5 @@ func FuzzSQLParse(f *testing.F) {
 		if r2 := stmt2.String(); r1 != r2 {
 			t.Fatalf("rendering is not a fixed point\ninput:  %q\nfirst:  %q\nsecond: %q", src, r1, r2)
 		}
-		// ParseScript must accept what Parse accepts.
-		stmts, errs := ParseScript(src)
-		if len(errs) > 0 || len(stmts) != 1 {
-			t.Fatalf("ParseScript disagrees with Parse on %q: %d stmts, errs=%v", src, len(stmts), errs)
-		}
 	})
 }

@@ -40,7 +40,10 @@ func (e *Engine) CurrentLimits() Limits {
 	return e.limits
 }
 
-// ExecCtx is Exec under a context: cancellation (e.g. a session KILL)
+// ExecCtx compiles and runs one statement. With tx == nil, queries
+// read their own statement snapshot and DML autocommits; with a
+// session transaction, everything runs inside it (multi-statement SQL
+// in BEGIN/COMMIT sessions). Cancellation of ctx (e.g. a session KILL)
 // stops table scans at batch granularity, and the engine's Limits are
 // layered on top — a timeout surfaces as ErrStatementTimeout, a
 // memory overrun as budget.ErrBudgetExceeded.

@@ -19,14 +19,14 @@ func TestStatementTimeout(t *testing.T) {
 	e.SetLimits(Limits{Timeout: time.Nanosecond})
 	// An aggregation over the whole table cannot finish in a
 	// nanosecond; the deadline fires inside the scan.
-	_, err := e.Exec(nil, "SELECT region, SUM(amount) FROM orders WHERE quantity >= 0 GROUP BY region")
+	_, err := e.ExecCtx(context.Background(), nil, "SELECT region, SUM(amount) FROM orders WHERE quantity >= 0 GROUP BY region")
 	if !errors.Is(err, ErrStatementTimeout) {
 		t.Fatalf("err = %v, want ErrStatementTimeout", err)
 	}
 
 	// Removing the limit restores normal execution.
 	e.SetLimits(Limits{})
-	if _, err := e.Exec(nil, "SELECT region, SUM(amount) FROM orders GROUP BY region"); err != nil {
+	if _, err := e.ExecCtx(context.Background(), nil, "SELECT region, SUM(amount) FROM orders GROUP BY region"); err != nil {
 		t.Fatalf("after clearing limits: %v", err)
 	}
 }
@@ -40,14 +40,14 @@ func TestStatementMemBudget(t *testing.T) {
 	// over 256 bytes of aggregate state. The predicate keeps the plan
 	// on the hash aggregate; TestStatementLimitsUnfiltered covers the
 	// fused kernel.
-	_, err := e.Exec(nil, "SELECT customer, COUNT(*), SUM(amount) FROM orders WHERE quantity >= 0 GROUP BY customer")
+	_, err := e.ExecCtx(context.Background(), nil, "SELECT customer, COUNT(*), SUM(amount) FROM orders WHERE quantity >= 0 GROUP BY customer")
 	if !errors.Is(err, budget.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
 
 	// A generous budget admits the same statement.
 	e.SetLimits(Limits{MemBytes: 64 << 20})
-	if _, err := e.Exec(nil, "SELECT customer, COUNT(*) FROM orders WHERE quantity >= 0 GROUP BY customer"); err != nil {
+	if _, err := e.ExecCtx(context.Background(), nil, "SELECT customer, COUNT(*) FROM orders WHERE quantity >= 0 GROUP BY customer"); err != nil {
 		t.Fatalf("with generous budget: %v", err)
 	}
 }
@@ -61,8 +61,8 @@ func TestStatementMemBudget(t *testing.T) {
 func TestStatementLimitsUnfiltered(t *testing.T) {
 	e := ordersEngine(t, core.TableConfig{}, 2000)
 	const q = "SELECT customer, COUNT(*), SUM(amount) FROM orders GROUP BY customer"
-	parallel := e.DB().Metrics().Counter("hana_parallel_scans_total", obs.L("table", "orders"))
-	tab := e.DB().Table("orders")
+	parallel := e.db.Metrics().Counter("hana_parallel_scans_total", obs.L("table", "orders"))
+	tab := e.db.Table("orders")
 	for _, stage := range []string{"l1", "main"} {
 		if stage == "main" {
 			if _, err := tab.MergeL1(); err != nil {
@@ -77,15 +77,15 @@ func TestStatementLimitsUnfiltered(t *testing.T) {
 		}
 		before := parallel.Value()
 		e.SetLimits(Limits{Timeout: time.Nanosecond})
-		if _, err := e.Exec(nil, q); !errors.Is(err, ErrStatementTimeout) {
+		if _, err := e.ExecCtx(context.Background(), nil, q); !errors.Is(err, ErrStatementTimeout) {
 			t.Fatalf("%s: err = %v, want ErrStatementTimeout", stage, err)
 		}
 		e.SetLimits(Limits{MemBytes: 256})
-		if _, err := e.Exec(nil, q); !errors.Is(err, budget.ErrBudgetExceeded) {
+		if _, err := e.ExecCtx(context.Background(), nil, q); !errors.Is(err, budget.ErrBudgetExceeded) {
 			t.Fatalf("%s: err = %v, want ErrBudgetExceeded", stage, err)
 		}
 		e.SetLimits(Limits{Timeout: 10 * time.Second, MemBytes: 64 << 20})
-		res, err := e.Exec(nil, q)
+		res, err := e.ExecCtx(context.Background(), nil, q)
 		if err != nil {
 			t.Fatalf("%s: with generous limits: %v", stage, err)
 		}
@@ -160,7 +160,7 @@ func TestDMLScanObservesCancel(t *testing.T) {
 func TestLimitsTimeoutLeavesFastStatementsAlone(t *testing.T) {
 	e := ordersEngine(t, core.TableConfig{}, 50)
 	e.SetLimits(Limits{Timeout: 10 * time.Second, MemBytes: 64 << 20})
-	res, err := e.Exec(nil, "SELECT COUNT(*) FROM orders")
+	res, err := e.ExecCtx(context.Background(), nil, "SELECT COUNT(*) FROM orders")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,7 +129,7 @@ func TestExplainAnalyzeOracle(t *testing.T) {
 // compare like with like.
 func TestMixedSQLExplainAnalyze(t *testing.T) {
 	e := ordersEngine(t, core.TableConfig{}, 30)
-	tab := e.DB().Table("orders")
+	tab := e.db.Table("orders")
 	if _, err := tab.MergeL1(); err != nil {
 		t.Fatal(err)
 	}

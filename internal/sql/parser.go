@@ -36,49 +36,7 @@ func Parse(text string) (Statement, error) {
 	return stmt, nil
 }
 
-// ParseScript parses a ';'-separated statement list. A statement that
-// fails to parse contributes an error and parsing resumes at the next
-// ';' — the recovery that lets one bad statement in a script surface
-// a diagnostic without hiding the rest.
-func ParseScript(text string) ([]Statement, []error) {
-	toks, lexErr := lex(text)
-	if lexErr != nil {
-		return nil, []error{lexErr}
-	}
-	p := &parser{toks: toks}
-	var stmts []Statement
-	var errs []error
-	for !p.at(tokEOF) {
-		if p.acceptSym(";") {
-			continue
-		}
-		stmt, err := p.parseStatement()
-		if err != nil {
-			errs = append(errs, err)
-			p.synchronize()
-			continue
-		}
-		stmts = append(stmts, stmt)
-		if !p.acceptSym(";") && !p.at(tokEOF) {
-			errs = append(errs, errAt(p.cur().pos, "unexpected %s after statement", p.cur()))
-			p.synchronize()
-		}
-	}
-	return stmts, errs
-}
-
-// synchronize skips tokens through the next ';' (statement boundary).
-func (p *parser) synchronize() {
-	for !p.at(tokEOF) {
-		if p.cur().kind == tokSymbol && p.cur().text == ";" {
-			p.pos++
-			return
-		}
-		p.pos++
-	}
-}
-
-func (p *parser) cur() token  { return p.toks[p.pos] }
+func (p *parser) cur() token        { return p.toks[p.pos] }
 func (p *parser) at(k tokKind) bool { return p.cur().kind == k }
 
 // atKeyword reports whether the current token is the given keyword

@@ -127,24 +127,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// TestParseScriptRecovery checks that one bad statement doesn't hide
-// the rest of a script.
-func TestParseScriptRecovery(t *testing.T) {
-	stmts, errs := ParseScript("SELECT FROM; SELECT a FROM t; ; BOGUS 1; DELETE FROM u")
-	if len(stmts) != 2 {
-		t.Fatalf("got %d statements, want 2", len(stmts))
-	}
-	if len(errs) != 2 {
-		t.Fatalf("got %d errors (%v), want 2", len(errs), errs)
-	}
-	if got := stmts[0].String(); got != "SELECT a FROM t" {
-		t.Errorf("first recovered statement = %q", got)
-	}
-	if got := stmts[1].String(); got != "DELETE FROM u" {
-		t.Errorf("second recovered statement = %q", got)
-	}
-}
-
 func TestParseErrorPosition(t *testing.T) {
 	_, err := Parse("SELECT a FROM t WHERE a @ 1")
 	if err == nil {

@@ -76,7 +76,7 @@ func mergeL1Step() crashStep {
 func mergeMainStep(table string) crashStep {
 	return crashStep{name: "merge-main-" + table, run: func(db *core.Database) error {
 		t := db.Table(table)
-		t.RotateL2()
+		t.RotateL2IfFull(1)
 		_, err := t.MergeMain()
 		return err
 	}}

@@ -217,7 +217,7 @@ func runDifferential(t *testing.T, seed int64, nops int) {
 				fatal(op, "merge-l1 "+spec.name, "%v", err)
 			}
 		case r < 82: // L2→main merge (strategy per table)
-			tab.RotateL2()
+			tab.RotateL2IfFull(1)
 			if _, err := tab.MergeMain(); err != nil {
 				fatal(op, "merge-main "+spec.name, "%v", err)
 			}

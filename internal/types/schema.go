@@ -10,10 +10,8 @@ import (
 // or in the L2-delta for bulk loads — and is preserved across merges
 // (§3, "the RowId for any incoming record will be generated when
 // entering the system").
+// Real row ids start at 1; the zero RowID names no row.
 type RowID uint64
-
-// InvalidRowID is the zero RowID; real row ids start at 1.
-const InvalidRowID RowID = 0
 
 // Column describes one attribute of a table.
 type Column struct {

@@ -71,9 +71,6 @@ type Col struct {
 // this).
 func NewCol(kind types.Kind) *Col { return &Col{Kind: kind} }
 
-// Len returns the number of cells.
-func (c *Col) Len() int { return c.n }
-
 // Reset truncates the column in place, keeping capacity.
 func (c *Col) Reset() {
 	c.Ints = c.Ints[:0]
@@ -156,41 +153,6 @@ func (c *Col) AppendNull() {
 		c.Vals = append(c.Vals, types.Null)
 	}
 	c.Nulls.Set(c.n)
-	c.n++
-}
-
-// AppendInt adds a non-NULL cell to an integer-backed column (INT64,
-// DATE, BOOLEAN). The fast path for producers decoding numeric
-// dictionaries.
-func (c *Col) AppendInt(v int64) {
-	if c.mixed {
-		c.Append(types.Value{Kind: c.Kind, I: v})
-		return
-	}
-	c.pad(c.n)
-	c.Ints = append(c.Ints, v)
-	c.n++
-}
-
-// AppendFloat adds a non-NULL cell to a DOUBLE column.
-func (c *Col) AppendFloat(v float64) {
-	if c.mixed {
-		c.Append(types.Float(v))
-		return
-	}
-	c.pad(c.n)
-	c.Floats = append(c.Floats, v)
-	c.n++
-}
-
-// AppendStr adds a non-NULL cell to a VARCHAR column.
-func (c *Col) AppendStr(v string) {
-	if c.mixed {
-		c.Append(types.Str(v))
-		return
-	}
-	c.pad(c.n)
-	c.Strs = append(c.Strs, v)
 	c.n++
 }
 
@@ -312,21 +274,6 @@ func (b *Batch) Select(keep func(pos int) bool) {
 		}
 	}
 	b.Sel = sel
-}
-
-// Truncate keeps only the first n live rows.
-func (b *Batch) Truncate(n int) {
-	if n >= b.Rows() {
-		return
-	}
-	if b.Sel == nil {
-		b.Sel = make([]int32, n)
-		for i := range b.Sel {
-			b.Sel[i] = int32(i)
-		}
-		return
-	}
-	b.Sel = b.Sel[:n]
 }
 
 // Project returns a batch over the listed columns (in that order)

@@ -9,11 +9,11 @@ import (
 
 func TestColAppendAndValue(t *testing.T) {
 	c := NewCol(types.KindInt64)
-	c.AppendInt(7)
+	c.Append(types.Int(7))
 	c.AppendNull()
-	c.AppendInt(9)
-	if c.Len() != 3 {
-		t.Fatalf("len = %d, want 3", c.Len())
+	c.Append(types.Int(9))
+	if c.n != 3 {
+		t.Fatalf("len = %d, want 3", c.n)
 	}
 	want := []types.Value{types.Int(7), types.Null, types.Int(9)}
 	for i, w := range want {
@@ -59,7 +59,7 @@ func TestColMixedKindDemotion(t *testing.T) {
 		}
 	}
 	// Typed fast paths keep working on a demoted column.
-	c.AppendFloat(1.5)
+	c.Append(types.Float(1.5))
 	c.AppendNull()
 	if got := c.Value(4); got != types.Float(1.5) {
 		t.Fatalf("Value(4) = %v", got)
@@ -67,8 +67,8 @@ func TestColMixedKindDemotion(t *testing.T) {
 	if !c.Value(5).IsNull() {
 		t.Fatalf("Value(5) not null")
 	}
-	if c.Len() != 6 {
-		t.Fatalf("len = %d, want 6", c.Len())
+	if c.n != 6 {
+		t.Fatalf("len = %d, want 6", c.n)
 	}
 	// Reset restores the typed representation.
 	c.Reset()
@@ -80,13 +80,13 @@ func TestColMixedKindDemotion(t *testing.T) {
 
 func TestColResetKeepsBacking(t *testing.T) {
 	c := NewCol(types.KindFloat64)
-	c.AppendFloat(1.5)
+	c.Append(types.Float(1.5))
 	c.AppendNull()
 	c.Reset()
-	if c.Len() != 0 || c.Nulls.Get(1) {
+	if c.n != 0 || c.Nulls.Get(1) {
 		t.Fatalf("reset did not clear col")
 	}
-	c.AppendFloat(2.5)
+	c.Append(types.Float(2.5))
 	if got := c.Value(0); got != types.Float(2.5) {
 		t.Fatalf("after reset Value(0) = %v", got)
 	}
@@ -177,9 +177,9 @@ func TestBatchResetReuse(t *testing.T) {
 
 func TestColumnWiseFillWithSetLen(t *testing.T) {
 	b := New([]types.Kind{types.KindInt64, types.KindString})
-	b.Cols[0].AppendInt(10)
-	b.Cols[0].AppendInt(20)
-	b.Cols[1].AppendStr("x")
+	b.Cols[0].Append(types.Int(10))
+	b.Cols[0].Append(types.Int(20))
+	b.Cols[1].Append(types.Str("x"))
 	b.Cols[1].AppendNull()
 	b.SetLen(2)
 	if b.Rows() != 2 {

@@ -280,24 +280,6 @@ func (l *Log) DropBefore() error {
 	return nil
 }
 
-// SegmentCount returns the number of on-disk segments.
-func (l *Log) SegmentCount() int {
-	segs, _ := l.segments()
-	return len(segs)
-}
-
-// Size returns the total on-disk size of all segments in bytes.
-func (l *Log) Size() int64 {
-	segs, _ := l.segments()
-	var total int64
-	for _, s := range segs {
-		if fi, err := l.fs.Stat(filepath.Join(l.dir, segName(s))); err == nil {
-			total += fi.Size()
-		}
-	}
-	return total
-}
-
 // Close flushes and closes the log.
 func (l *Log) Close() error {
 	l.mu.Lock()
@@ -313,16 +295,10 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Replay reads every record across all segments in order and calls
-// fn. A torn or corrupt tail ends replay without error ("recovery"
-// takes whatever prefix is intact); corruption before the tail is
-// reported.
-func (l *Log) Replay(fn func(*Record) error) error {
-	return l.ReplayFrom(0, fn)
-}
-
-// ReplayFrom replays only segments with sequence number ≥ minSeq.
-// Records in older segments predate the savepoint that recorded
+// ReplayFrom reads every record of the segments with sequence number
+// ≥ minSeq in order and calls fn. A torn or corrupt tail ends replay
+// without error ("recovery" takes whatever prefix is intact);
+// corruption before the tail is reported. Records in older segments predate the savepoint that recorded
 // minSeq: their effects are part of the snapshot already, and
 // re-applying them would double-apply (the savepoint deletes those
 // segments, but a crash between the superblock flip and the deletion

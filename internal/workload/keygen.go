@@ -40,19 +40,3 @@ func NewZipfian(seed int64, n uint64, s float64) KeyChooser {
 
 func (c *zipfianChooser) Next() uint64 { return c.zipf.Uint64() }
 func (c *zipfianChooser) N() uint64    { return c.n }
-
-type uniformChooser struct {
-	rng *rand.Rand
-	n   uint64
-}
-
-// NewUniform returns a uniform chooser over [0, n).
-func NewUniform(seed int64, n uint64) KeyChooser {
-	if n < 1 {
-		n = 1
-	}
-	return &uniformChooser{rng: rand.New(rand.NewSource(seed)), n: n}
-}
-
-func (c *uniformChooser) Next() uint64 { return uint64(c.rng.Int63n(int64(c.n))) }
-func (c *uniformChooser) N() uint64    { return c.n }

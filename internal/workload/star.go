@@ -7,8 +7,8 @@ import (
 	"repro/internal/types"
 )
 
-// Star-schema workload: a sales fact table with customer, product,
-// and date dimensions — the star-join scenario the OLAP operators are
+// Star-schema workload: a sales fact table with customer and product
+// dimensions and a date key — the star-join scenario the OLAP operators are
 // optimized for (§2.2).
 
 // CustomerSchema is the customer dimension.
@@ -27,16 +27,6 @@ func ProductSchema() *types.Schema {
 		{Name: "prod_id", Kind: types.KindInt64},
 		{Name: "name", Kind: types.KindString},
 		{Name: "category", Kind: types.KindString},
-	}, 0)
-}
-
-// DateSchema is the date dimension.
-func DateSchema() *types.Schema {
-	return types.MustSchema([]types.Column{
-		{Name: "date_id", Kind: types.KindInt64},
-		{Name: "day", Kind: types.KindDate},
-		{Name: "month", Kind: types.KindInt64},
-		{Name: "year", Kind: types.KindInt64},
 	}, 0)
 }
 
@@ -95,22 +85,6 @@ func (g *StarGen) ProductRows() [][]types.Value {
 			types.Int(int64(i + 1)),
 			types.Str(fmt.Sprintf("Product-%04d", i+1)),
 			types.Str(Categories[g.rng.Intn(len(Categories))]),
-		}
-	}
-	return out
-}
-
-// DateRows generates the date dimension starting at 2012-01-01.
-func (g *StarGen) DateRows() [][]types.Value {
-	const epoch2012 = 15340 // days since Unix epoch
-	out := make([][]types.Value, g.Dates)
-	for i := range out {
-		day := int64(epoch2012 + i)
-		out[i] = []types.Value{
-			types.Int(int64(i + 1)),
-			types.Date(day),
-			types.Int(int64(i/30%12 + 1)),
-			types.Int(int64(2012 + i/360)),
 		}
 	}
 	return out

@@ -57,9 +57,6 @@ func NewOrderGen(seed int64, customers, products int) *OrderGen {
 	}
 }
 
-// NextID returns the next order id the generator will assign.
-func (g *OrderGen) NextID() int64 { return g.nextID + 1 }
-
 // Row generates the next order row (ascending ids, Zipfian customers,
 // uniform products, skewed status).
 func (g *OrderGen) Row() []types.Value {
@@ -84,93 +81,6 @@ func (g *OrderGen) Rows(n int) [][]types.Value {
 	out := make([][]types.Value, n)
 	for i := range out {
 		out[i] = g.Row()
-	}
-	return out
-}
-
-// OpKind enumerates OLTP operations.
-type OpKind uint8
-
-const (
-	// OpInsert is a new-order insert.
-	OpInsert OpKind = iota
-	// OpUpdate is a payment/shipment status update.
-	OpUpdate
-	// OpDelete cancels an order.
-	OpDelete
-	// OpPoint is a selective point query by key.
-	OpPoint
-)
-
-func (k OpKind) String() string {
-	switch k {
-	case OpUpdate:
-		return "update"
-	case OpDelete:
-		return "delete"
-	case OpPoint:
-		return "point"
-	default:
-		return "insert"
-	}
-}
-
-// Op is one OLTP operation against the order table.
-type Op struct {
-	Kind OpKind
-	// Key targets updates/deletes/points (an already inserted id).
-	Key int64
-	// Row carries the payload for inserts and updates.
-	Row []types.Value
-}
-
-// Mix is an OLTP operation mix in percent; the remainder (to 100) is
-// point queries.
-type Mix struct {
-	InsertPct, UpdatePct, DeletePct int
-}
-
-// DefaultMix mirrors a high-update ERP profile.
-var DefaultMix = Mix{InsertPct: 45, UpdatePct: 35, DeletePct: 5}
-
-// Ops generates an operation stream of length n under the mix. Only
-// live ids — inserted within this stream or among the preloaded
-// 1..preloaded, and not yet deleted — are targeted by updates,
-// deletes, and point queries.
-func (g *OrderGen) Ops(n int, mix Mix, preloaded int64) []Op {
-	live := make([]int64, 0, n)
-	for id := int64(1); id <= preloaded; id++ {
-		live = append(live, id)
-	}
-	pickIdx := func() int {
-		if len(live) == 0 {
-			return -1
-		}
-		return g.rng.Intn(len(live))
-	}
-	out := make([]Op, 0, n)
-	for len(out) < n {
-		p := g.rng.Intn(100)
-		switch {
-		case p < mix.InsertPct || len(live) == 0:
-			row := g.Row()
-			live = append(live, row[0].I)
-			out = append(out, Op{Kind: OpInsert, Key: row[0].I, Row: row})
-		case p < mix.InsertPct+mix.UpdatePct:
-			i := pickIdx()
-			row := g.Row() // fresh payload; the key is overwritten below
-			row[0] = types.Int(live[i])
-			out = append(out, Op{Kind: OpUpdate, Key: live[i], Row: row})
-		case p < mix.InsertPct+mix.UpdatePct+mix.DeletePct:
-			i := pickIdx()
-			id := live[i]
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-			out = append(out, Op{Kind: OpDelete, Key: id})
-		default:
-			i := pickIdx()
-			out = append(out, Op{Kind: OpPoint, Key: live[i]})
-		}
 	}
 	return out
 }

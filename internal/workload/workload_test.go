@@ -59,61 +59,18 @@ func TestOrderZipfSkew(t *testing.T) {
 	}
 }
 
-func TestOpsRespectMixAndTargets(t *testing.T) {
-	g := NewOrderGen(5, 1000, 50)
-	ops := g.Ops(2000, DefaultMix, 0)
-	if len(ops) != 2000 {
-		t.Fatalf("ops = %d", len(ops))
-	}
-	counts := map[OpKind]int{}
-	inserted := map[int64]bool{}
-	deleted := map[int64]bool{}
-	for _, op := range ops {
-		counts[op.Kind]++
-		switch op.Kind {
-		case OpInsert:
-			inserted[op.Key] = true
-		case OpUpdate, OpPoint:
-			if !inserted[op.Key] {
-				t.Fatalf("%v targets never-inserted key %d", op.Kind, op.Key)
-			}
-			if deleted[op.Key] {
-				t.Fatalf("%v targets deleted key %d", op.Kind, op.Key)
-			}
-		case OpDelete:
-			if !inserted[op.Key] || deleted[op.Key] {
-				t.Fatalf("bad delete target %d", op.Key)
-			}
-			deleted[op.Key] = true
-		}
-	}
-	if counts[OpInsert] < 700 || counts[OpUpdate] < 500 || counts[OpPoint] < 150 {
-		t.Errorf("mix off: %v", counts)
-	}
-	// Updates carry the targeted key in the row.
-	for _, op := range ops {
-		if op.Kind == OpUpdate && op.Row[0].I != op.Key {
-			t.Fatal("update row key mismatch")
-		}
-	}
-}
-
 func TestStarGenCoherent(t *testing.T) {
 	g := NewStarGen(11, 50, 20, 30)
 	custs := g.CustomerRows()
 	prods := g.ProductRows()
-	dates := g.DateRows()
 	sales := g.SaleRows(500)
-	if len(custs) != 50 || len(prods) != 20 || len(dates) != 30 {
+	if len(custs) != 50 || len(prods) != 20 {
 		t.Fatal("dimension sizes wrong")
 	}
 	if err := CustomerSchema().CheckRow(custs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := ProductSchema().CheckRow(prods[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := DateSchema().CheckRow(dates[0]); err != nil {
 		t.Fatal(err)
 	}
 	schema := SalesSchema()
